@@ -8,7 +8,7 @@ from .dataset import (Dataset, FeatureMeta, FoldAssignment, PreprocessReport,
                       write_dataset_artifact)
 from .ensemble import (CombinationRule, CombineResult, VoteEnsemble, combine,
                        ensemble_predict, ensemble_predict_batch)
-from .errors import InputError, InvariantError
+from .errors import InputError
 from .evaluation import (ClassifierSpec, ConfusionMatrix, CrossValResult,
                          MetricsReport, compute_metrics,
                          confusion_from_predictions, cross_validate)

@@ -22,7 +22,7 @@ from . import __version__
 from .dataset import (encode, filter_table, load_csv, normalize,
                       read_dataset_artifact, write_dataset_artifact)
 from .ensemble import CombinationRule
-from .errors import InputError, InvariantError
+from .errors import InputError
 from .evaluation import ClassifierSpec, cross_validate
 from .featsel import (BatSwarmConfig, cfs_ba_select, ig_rank, igr_rank,
                       selection_report)
@@ -133,10 +133,26 @@ def _read_subset_file(path) -> list[int]:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read subset file {path}: {exc}") from exc
-    if path.endswith(".json"):
-        doc = json.loads(text)
-        return [int(i) for i in doc["selected"]]
-    return _parse_feature_list(text)
+    if not path.endswith(".json"):
+        return _parse_feature_list(text)
+    try:
+        selected = json.loads(text)["selected"]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        raise InputError(f"subset file {path} is not a JSON object with a "
+                         "'selected' list") from None
+    if not isinstance(selected, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in selected):
+        raise InputError(f"subset file {path}: 'selected' must be a list of integers")
+    return selected
+
+
+def _checked_indices(ds, indices: list[int]) -> list[int]:
+    """Reject feature indices outside 0 <= i < n_features."""
+    for i in indices:
+        if not 0 <= i < ds.n_features:
+            raise InputError(f"feature index {i} out of range; the dataset has "
+                             f"{ds.n_features} features (0-{ds.n_features - 1})")
+    return indices
 
 
 def _run_selector(ds, opts: Options):
@@ -181,7 +197,7 @@ def _run_selector(ds, opts: Options):
         text = opts.get("features")
         if text is None:
             raise InputError("selector 'list' needs --features")
-        indices = sorted(set(_parse_feature_list(text)))
+        indices = _checked_indices(ds, sorted(set(_parse_feature_list(text))))
     return {
         "selector": selector,
         "selected": indices,
@@ -231,11 +247,11 @@ def _resolve_features(ds, opts: Options):
     features = opts.get("features")
     selector = opts.get("selector")
     if subset_file:
-        indices = _read_subset_file(subset_file)
+        indices = _checked_indices(ds, _read_subset_file(subset_file))
         return indices, {"selector": "file", "selected": indices,
                          "names": [ds.feature_meta[i].name for i in indices]}
     if features:
-        indices = sorted(set(_parse_feature_list(features)))
+        indices = _checked_indices(ds, sorted(set(_parse_feature_list(features))))
         return indices, {"selector": "list", "selected": indices,
                          "names": [ds.feature_meta[i].name for i in indices]}
     if selector and selector != "none":
@@ -266,17 +282,12 @@ def cmd_evaluate(opts: Options) -> int:
     specs = _classifier_specs(opts)
     indices, selection = _resolve_features(ds, opts)
 
-    results = {}
-    per_repeat = {}
-    for spec in specs:
-        cv = cross_validate(ds, [spec], k=k, repeats=repeats, seed=seed, rule=rule,
-                            feature_indices=indices, threads=threads, adr_mode=adr_mode)
-        results[spec.kind] = cv.report.to_dict()
-        per_repeat[spec.kind] = [r.to_dict() for r in cv.per_repeat]
     ensemble_cv = cross_validate(ds, specs, k=k, repeats=repeats, seed=seed, rule=rule,
                                  feature_indices=indices, threads=threads, adr_mode=adr_mode)
-    results["ensemble"] = ensemble_cv.report.to_dict()
-    per_repeat["ensemble"] = [r.to_dict() for r in ensemble_cv.per_repeat]
+    blocks = [(s.kind, cv) for s, cv in zip(specs, ensemble_cv.members)]
+    blocks.append(("ensemble", ensemble_cv))
+    results = {kind: cv.report.to_dict() for kind, cv in blocks}
+    per_repeat = {kind: [r.to_dict() for r in cv.per_repeat] for kind, cv in blocks}
 
     report = {
         "tool": {"name": "idsforge", "version": __version__},
@@ -475,9 +486,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - map unexpected failures to exit 3
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

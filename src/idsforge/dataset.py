@@ -170,12 +170,15 @@ class FoldAssignment:
 def load_csv(path, label_column, has_header: bool = True) -> RawTable:
     """Read an RFC-4180 style UTF-8 CSV into a RawTable.
 
+    A leading UTF-8 byte-order mark is skipped, so it never becomes part of
+    the first header name.
+
     label_column is a column name (requires a header) or a 0-based index.
     Raises InputError for unreadable files, ragged rows (naming the offending
     line) and missing label columns.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     with fh:

@@ -39,20 +39,46 @@ class CombineResult(NamedTuple):
     warning: str | None
 
 
-def _normalized(scores: np.ndarray) -> np.ndarray:
-    total = scores.sum()
-    if total <= 0:
-        # only reachable with hard-zero inputs; smoothed members never get here
-        return np.full(scores.shape, 1.0 / scores.size)
-    return scores / total
+def combine_stack(stack: np.ndarray, rule: CombinationRule) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one combination rule to a (members, rows, classes) stack.
+
+    Returns (labels, distributions) for every row. Argmax ties resolve to the
+    lowest class index; majority-vote ties fall back to the mean-probability
+    score first. The product, minimum and maximum scores are renormalized to
+    sum to 1, and a row whose scores sum to 0 (only reachable with hard-zero
+    inputs; smoothed members never get there) becomes uniform.
+    """
+    l, _, c = stack.shape
+    if rule is CombinationRule.AVERAGE_OF_PROBABILITIES:
+        scores = stack.mean(axis=0)
+        return np.argmax(scores, axis=1), scores
+
+    if rule is CombinationRule.MAJORITY_VOTING:
+        votes = (np.argmax(stack, axis=2)[:, :, None] == np.arange(c)).sum(axis=0)
+        tied = votes == votes.max(axis=1, keepdims=True)
+        labels = np.argmax(np.where(tied, stack.mean(axis=0), -np.inf), axis=1)
+        return labels, votes / l
+
+    if rule is CombinationRule.PRODUCT_OF_PROBABILITIES:
+        scores = np.prod(stack, axis=0)
+    elif rule is CombinationRule.MINIMUM_PROBABILITY:
+        scores = stack.min(axis=0)
+    elif rule is CombinationRule.MAXIMUM_PROBABILITY:
+        scores = stack.max(axis=0)
+    else:
+        raise InputError(f"unhandled combination rule {rule}")
+    total = scores.sum(axis=1)
+    empty = total <= 0
+    scores = scores / np.where(empty, 1.0, total)[:, None]
+    scores[empty] = 1.0 / c
+    return np.argmax(scores, axis=1), scores
 
 
 def combine(distributions, rule: CombinationRule) -> CombineResult:
-    """Apply one combination rule to l member distributions.
+    """Apply one combination rule to l member distributions of one row.
 
-    Argmax ties resolve to the lowest class index; majority-vote ties fall
-    back to the mean-probability score first. Majority voting with fewer
-    members than classes is allowed but reported in the warning field.
+    The one-row case of combine_stack. Majority voting with fewer members than
+    classes is allowed but reported in the warning field.
     """
     try:
         stack = np.asarray(distributions, dtype=np.float64)
@@ -62,34 +88,11 @@ def combine(distributions, rule: CombinationRule) -> CombineResult:
         raise InputError("need a non-empty list of equal-length distributions")
     l, c = stack.shape
     warning = None
-
-    if rule is CombinationRule.AVERAGE_OF_PROBABILITIES:
-        scores = stack.mean(axis=0)
-        return CombineResult(int(np.argmax(scores)), scores, None)
-
-    if rule is CombinationRule.MAJORITY_VOTING:
-        if l < c:
-            warning = (f"majority voting with {l} members over {c} classes; "
-                       "votes cannot cover every class")
-        votes = np.bincount(np.argmax(stack, axis=1), minlength=c)
-        top = votes.max()
-        tied = np.flatnonzero(votes == top)
-        if tied.size == 1:
-            label = int(tied[0])
-        else:
-            mean = stack.mean(axis=0)
-            label = int(tied[np.argmax(mean[tied])])
-        return CombineResult(label, votes / l, warning)
-
-    if rule is CombinationRule.PRODUCT_OF_PROBABILITIES:
-        scores = _normalized(np.prod(stack, axis=0))
-    elif rule is CombinationRule.MINIMUM_PROBABILITY:
-        scores = _normalized(stack.min(axis=0))
-    elif rule is CombinationRule.MAXIMUM_PROBABILITY:
-        scores = _normalized(stack.max(axis=0))
-    else:
-        raise InputError(f"unhandled combination rule {rule}")
-    return CombineResult(int(np.argmax(scores)), scores, None)
+    if rule is CombinationRule.MAJORITY_VOTING and l < c:
+        warning = (f"majority voting with {l} members over {c} classes; "
+                   "votes cannot cover every class")
+    labels, scores = combine_stack(stack[:, None, :], rule)
+    return CombineResult(int(labels[0]), scores[0], warning)
 
 
 @dataclass
@@ -128,14 +131,4 @@ def ensemble_predict(ens: VoteEnsemble, row) -> CombineResult:
 def ensemble_predict_batch(ens: VoteEnsemble, rows) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized variant returning (labels, distributions) for many rows."""
     rows = np.asarray(rows, dtype=np.float64)
-    stack = np.stack([m.predict_batch(rows) for m in ens.members])  # (l, n, c)
-    if ens.rule is CombinationRule.AVERAGE_OF_PROBABILITIES:
-        mean = stack.mean(axis=0)
-        return np.argmax(mean, axis=1), mean
-    labels = np.empty(rows.shape[0], dtype=np.int64)
-    dists = np.empty((rows.shape[0], ens.n_classes), dtype=np.float64)
-    for i in range(rows.shape[0]):
-        result = combine(stack[:, i, :], ens.rule)
-        labels[i] = result.label
-        dists[i] = result.distribution
-    return labels, dists
+    return combine_stack(np.stack([m.predict_batch(rows) for m in ens.members]), ens.rule)

@@ -3,7 +3,3 @@
 
 class InputError(ValueError):
     """Bad user-supplied data or configuration (CLI exit code 2)."""
-
-
-class InvariantError(RuntimeError):
-    """Internal consistency violation (CLI exit code 3)."""

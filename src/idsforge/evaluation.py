@@ -8,7 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, select_features, stratified_folds
-from .ensemble import CombinationRule, VoteEnsemble, ensemble_predict_batch
+from .ensemble import CombinationRule, combine_stack
+# Not called here, but perfbench/spans.py traces evaluation's lookups of it,
+# so the name stays in this module's namespace.
+from .ensemble import ensemble_predict_batch  # noqa: F401
 from .errors import InputError
 from .trees import TreeParams, c45_fit, forest_pa_fit, rf_fit
 
@@ -196,24 +199,36 @@ def _mean_report(reports, mbt: float) -> MetricsReport:
 
 @dataclass
 class CrossValResult:
+    """Metrics of one cross-validated classifier.
+
+    For an ensemble, members holds one CrossValResult per member, in input
+    order, computed from the ensemble's own fold models; it is empty for the
+    member results themselves.
+    """
+
     report: MetricsReport
     confusion: ConfusionMatrix
     per_repeat: list[MetricsReport]
+    members: list["CrossValResult"] = field(default_factory=list)
 
 
 def cross_validate(ds: Dataset, members, k: int = 10, repeats: int = 1,
                    seed: int = 0, rule: CombinationRule = CombinationRule.AVERAGE_OF_PROBABILITIES,
                    feature_indices=None, threads: int = 1,
                    adr_mode: str = "exact_class") -> CrossValResult:
-    """Repeated stratified k-fold evaluation of a voting ensemble.
+    """Repeated stratified k-fold evaluation of a voting ensemble and its members.
 
     members is a list of ClassifierSpec or of callables (ds, rows, seed) ->
     model; a single member evaluates one classifier on its own. Repeat r uses
     fold seed (seed + r); each member's training seed mixes (seed, repeat,
     fold, member index), so everything except the timing fields is
-    reproducible. The confusion matrix accumulates over folds and repeats,
-    per-repeat metric reports are averaged arithmetically, and mbt_seconds is
-    the mean wall-clock time of one ensemble build (all members, one fold).
+    reproducible. Each member is fitted once per fold and predicts its test
+    rows once; the rule combines the whole stack of member distributions for
+    the ensemble and each member's own slice for that member's result. The
+    confusion matrix accumulates over folds and repeats, per-repeat metric
+    reports are averaged arithmetically, and mbt_seconds is the mean
+    wall-clock time of one build per fold: a member's own fit, or all fits
+    for the ensemble.
     """
     if k < 2:
         raise InputError("fold count must be at least 2")
@@ -235,36 +250,47 @@ def cross_validate(ds: Dataset, members, k: int = 10, repeats: int = 1,
 
     fitters = [make_fitter(m, threads) if isinstance(m, ClassifierSpec) else m
                for m in members]
+    # The ensemble first, then each member on its own.
+    groups = [list(range(len(fitters)))] + [[i] for i in range(len(fitters))]
 
     c = ds.n_classes
-    aggregate = np.zeros((c, c), dtype=np.int64)
-    per_repeat: list[MetricsReport] = []
-    build_times: list[float] = []
+    aggregate = np.zeros((len(groups), c, c), dtype=np.int64)
+    per_repeat: list[list[MetricsReport]] = [[] for _ in groups]
+    build_times: list[list[float]] = [[] for _ in groups]
     for r in range(repeats):
         folds = stratified_folds(ds, k, seed + r)
-        repeat_counts = np.zeros((c, c), dtype=np.int64)
-        repeat_times = []
+        repeat_counts = np.zeros_like(aggregate)
+        repeat_times: list[list[float]] = [[] for _ in groups]
         for f in range(k):
             train = folds.train_rows(f)
             test = folds.test_rows(f)
-            t0 = time.perf_counter()
-            models = [fit(ds, train, _derived_seed(seed, r, f, i))
-                      for i, fit in enumerate(fitters)]
-            repeat_times.append(time.perf_counter() - t0)
-            ens = VoteEnsemble(members=models, rule=rule)
-            labels, _ = ensemble_predict_batch(ens, ds.features[test])
-            cm = confusion_from_predictions(ds.labels[test], labels, ds.class_names)
-            repeat_counts += cm.counts
-        repeat_cm = ConfusionMatrix(repeat_counts, ds.class_names)
-        per_repeat.append(compute_metrics(repeat_cm, ds.normal_class,
-                                          mbt_seconds=float(np.mean(repeat_times)),
-                                          adr_mode=adr_mode))
+            models = []
+            fit_seconds = []
+            for i, fit in enumerate(fitters):
+                t0 = time.perf_counter()
+                models.append(fit(ds, train, _derived_seed(seed, r, f, i)))
+                fit_seconds.append(time.perf_counter() - t0)
+            stack = np.stack([m.predict_batch(ds.features[test]) for m in models])
+            for g, group in enumerate(groups):
+                labels, _ = combine_stack(stack[group], rule)
+                cm = confusion_from_predictions(ds.labels[test], labels, ds.class_names)
+                repeat_counts[g] += cm.counts
+                repeat_times[g].append(sum(fit_seconds[i] for i in group))
+        for g in range(len(groups)):
+            repeat_cm = ConfusionMatrix(repeat_counts[g], ds.class_names)
+            per_repeat[g].append(compute_metrics(repeat_cm, ds.normal_class,
+                                                 mbt_seconds=float(np.mean(repeat_times[g])),
+                                                 adr_mode=adr_mode))
+            build_times[g].extend(repeat_times[g])
         aggregate += repeat_counts
-        build_times.extend(repeat_times)
 
-    report = _mean_report(per_repeat, mbt=float(np.mean(build_times)))
-    return CrossValResult(
-        report=report,
-        confusion=ConfusionMatrix(aggregate, ds.class_names),
-        per_repeat=per_repeat,
-    )
+    results = [
+        CrossValResult(
+            report=_mean_report(per_repeat[g], mbt=float(np.mean(build_times[g]))),
+            confusion=ConfusionMatrix(aggregate[g], ds.class_names),
+            per_repeat=per_repeat[g],
+        )
+        for g in range(len(groups))
+    ]
+    results[0].members = results[1:]
+    return results[0]

@@ -521,36 +521,53 @@ def forest_predict_batch(forest: Forest, rows) -> np.ndarray:
 
 
 def _nodes_to_list(root: TreeNode) -> list[dict]:
+    """Preorder node list; split nodes name their children by list index.
+
+    Walks with an explicit stack, so tree depth is not bounded by the
+    interpreter's recursion limit.
+    """
     nodes: list[dict] = []
-
-    def walk(node: TreeNode) -> int:
+    pending = [(root, None, None)]  # (node, parent index, side the parent links it by)
+    while pending:
+        node, parent, side = pending.pop()
         index = len(nodes)
-        nodes.append({})
+        if parent is not None:
+            nodes[parent][side] = index
         if node.is_leaf:
-            nodes[index] = {"depth": node.depth,
-                            "distribution": [float(p) for p in node.distribution]}
+            nodes.append({"depth": node.depth,
+                          "distribution": [float(p) for p in node.distribution]})
         else:
-            left = walk(node.left)
-            right = walk(node.right)
-            nodes[index] = {"depth": node.depth, "feature": node.split_feature,
-                            "threshold": node.threshold, "left": left, "right": right}
-        return index
-
-    walk(root)
+            nodes.append({"depth": node.depth, "feature": node.split_feature,
+                          "threshold": node.threshold, "left": None, "right": None})
+            pending.append((node.right, index, "right"))
+            pending.append((node.left, index, "left"))
     return nodes
 
 
 def _nodes_from_list(nodes: list[dict]) -> TreeNode:
-    def build(index: int) -> TreeNode:
+    """Inverse of _nodes_to_list, also walking with an explicit stack."""
+    root = None
+    pending = [(0, None, None)]  # (list index, parent node, side the parent links it by)
+    visited = 0
+    while pending:
+        index, parent, side = pending.pop()
+        visited += 1
+        if visited > len(nodes):
+            raise InputError("model tree links form a cycle")
         spec = nodes[index]
         if "distribution" in spec:
-            return TreeNode(depth=spec["depth"],
+            node = TreeNode(depth=spec["depth"],
                             distribution=np.array(spec["distribution"], dtype=np.float64))
-        return TreeNode(depth=spec["depth"], split_feature=spec["feature"],
-                        threshold=spec["threshold"],
-                        left=build(spec["left"]), right=build(spec["right"]))
-
-    return build(0)
+        else:
+            node = TreeNode(depth=spec["depth"], split_feature=spec["feature"],
+                            threshold=spec["threshold"])
+            pending.append((spec["right"], node, "right"))
+            pending.append((spec["left"], node, "left"))
+        if parent is None:
+            root = node
+        else:
+            setattr(parent, side, node)
+    return root
 
 
 def _params_to_doc(params: TreeParams) -> dict:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from idsforge.cli import main
-from idsforge.dataset import write_dataset_artifact
-from idsforge.dataset import normalize
+from idsforge.dataset import (normalize, read_dataset_artifact,
+                              write_dataset_artifact)
+from idsforge.evaluation import ClassifierSpec, cross_validate
 
 from conftest import make_leak_dataset
 
@@ -35,6 +36,18 @@ def write_toy_csv(tmp_path, name="toy.csv"):
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+RUN_VARYING = ("mbt_seconds", "seconds", "created_utc")
+
+
+def without_run_varying(doc):
+    """The document with every timing and timestamp field removed."""
+    if isinstance(doc, dict):
+        return {k: without_run_varying(v) for k, v in doc.items() if k not in RUN_VARYING}
+    if isinstance(doc, list):
+        return [without_run_varying(v) for v in doc]
+    return doc
 
 
 @pytest.fixture
@@ -132,6 +145,36 @@ class TestEvaluate:
         assert len(accs) == 5
         assert all(0.0 <= a <= 1.0 for a in accs.values())
 
+    @pytest.mark.parametrize("subset_name, subset_text", [
+        ("bad.json", "{"),
+        ("no_key.json", '{"chosen": [0]}'),
+        ("not_object.json", "[0, 1]"),
+        ("not_ints.json", '{"selected": ["0"]}'),
+        ("high.json", '{"selected": [999]}'),
+        ("negative.json", '{"selected": [-1]}'),
+        ("high.txt", "0,999"),
+    ])
+    def test_bad_subset_file_exit_code(self, artifact_dir, tmp_path, capsys,
+                                       subset_name, subset_text):
+        subset = tmp_path / subset_name
+        subset.write_text(subset_text, encoding="utf-8")
+        assert main(["evaluate", "--input", artifact_dir, "--subset-file", str(subset),
+                     "--classifiers", "c45", "--k", "3",
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    @pytest.mark.parametrize("features", ["-1", "6", "0,999"])
+    def test_out_of_range_features_exit_code(self, artifact_dir, tmp_path, capsys,
+                                             command, features):
+        argv = [command, "--input", artifact_dir, f"--features={features}",
+                "--out", str(tmp_path / "out")]
+        argv += (["--selector", "list"] if command == "select"
+                 else ["--classifiers", "c45", "--k", "3"])
+        assert main(argv) == 2
+        assert "out of range" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_config_file_with_flag_override(self, artifact_dir, tmp_path):
         config = tmp_path / "exp.conf"
         config.write_text("k = 3\nn-trees = 2\nclassifiers = c45\nseed = 5\n",
@@ -143,6 +186,42 @@ class TestEvaluate:
         assert report["config"]["k"] == 4  # flag beats config
         assert report["config"]["n_trees"] == 2
         assert report["config"]["classifiers"] == ["c45"]
+
+
+class TestReproducibility:
+    def test_full_run_repeats_byte_for_byte(self, tmp_path, monkeypatch, capsys):
+        csv_path = write_toy_csv(tmp_path)
+        runs = {}
+        for run in ("a", "b"):
+            run_dir = tmp_path / run
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)  # config.input names the same relative path
+            assert main(["preprocess", "--input", csv_path, "--label-column", "class",
+                         "--out", "prep"]) == 0
+            assert main(["select", "--input", "prep", "--selector", "cfs-ba",
+                         "--iterations", "10", "--seed", "4", "--out", "sel"]) == 0
+            assert main(["evaluate", "--input", "prep", "--subset-file", "sel/subset.json",
+                         "--classifiers", "c45,rf,forest_pa", "--n-trees", "3",
+                         "--k", "3", "--repeats", "2", "--seed", "4", "--out", "eval"]) == 0
+            files = {}
+            for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
+                name = str(path.relative_to(run_dir))
+                files[name] = (without_run_varying(read_json(path)) if name.endswith(".json")
+                               else path.read_bytes())
+            runs[run] = files
+        assert "eval/confusion.csv" in runs["a"]
+        assert runs["a"] == runs["b"]
+
+        # The c45 block, taken from the ensemble's fold models, is what a
+        # standalone one-member cross-validation reports.
+        report = read_json(tmp_path / "a" / "eval" / "report.json")
+        ds = read_dataset_artifact(str(tmp_path / "a" / "prep"))
+        alone = cross_validate(ds, [ClassifierSpec("c45", n_trees=3)], k=3, repeats=2,
+                               seed=4, feature_indices=report["selection"]["selected"])
+        assert without_run_varying(report["results"]["c45"]) == without_run_varying(
+            alone.report.to_dict())
+        assert without_run_varying(report["per_repeat"]["c45"]) == without_run_varying(
+            [r.to_dict() for r in alone.per_repeat])
 
 
 class TestStats:

@@ -26,6 +26,12 @@ class TestLoadCsv:
         assert raw.column_names == ["a", "b", "class"]
         assert raw.label_column == 2
 
+    def test_byte_order_mark_not_part_of_first_name(self, tmp_path):
+        path = write_csv(tmp_path, "\ufeffclass,a\nnormal,1\ndos,2\n")
+        raw = load_csv(path, label_column="class")
+        assert raw.column_names == ["class", "a"]
+        assert raw.label_column == 0
+
     def test_label_by_index_without_header(self, tmp_path):
         path = write_csv(tmp_path, "1,x,normal\n2,y,dos\n")
         raw = load_csv(path, label_column=2, has_header=False)

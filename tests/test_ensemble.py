@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idsforge.ensemble import (CombinationRule, VoteEnsemble, combine,
-                               ensemble_predict, ensemble_predict_batch)
+                               combine_stack, ensemble_predict,
+                               ensemble_predict_batch)
 from idsforge.errors import InputError
 from idsforge.evaluation import ClassifierSpec, make_fitter
 from idsforge.trees import TreeParams, c45_fit
@@ -16,6 +17,60 @@ ALL_RULES = list(CombinationRule)
 
 def dists(*rows):
     return [np.array(r, dtype=float) for r in rows]
+
+
+def _oracle_normalized(scores):
+    total = scores.sum()
+    if total <= 0:
+        return np.full(scores.shape, 1.0 / scores.size)
+    return scores / total
+
+
+def oracle_combine(stack, rule):
+    """Reference per-row combination of an (l, c) stack: (label, distribution).
+
+    The vectorised rules in combine_stack must match it bit for bit.
+    """
+    l, c = stack.shape
+    if rule is CombinationRule.AVERAGE_OF_PROBABILITIES:
+        scores = stack.mean(axis=0)
+        return int(np.argmax(scores)), scores
+    if rule is CombinationRule.MAJORITY_VOTING:
+        votes = np.bincount(np.argmax(stack, axis=1), minlength=c)
+        tied = np.flatnonzero(votes == votes.max())
+        if tied.size == 1:
+            label = int(tied[0])
+        else:
+            mean = stack.mean(axis=0)
+            label = int(tied[np.argmax(mean[tied])])
+        return label, votes / l
+    if rule is CombinationRule.PRODUCT_OF_PROBABILITIES:
+        scores = _oracle_normalized(np.prod(stack, axis=0))
+    elif rule is CombinationRule.MINIMUM_PROBABILITY:
+        scores = _oracle_normalized(stack.min(axis=0))
+    else:
+        scores = _oracle_normalized(stack.max(axis=0))
+    return int(np.argmax(scores)), scores
+
+
+@st.composite
+def member_stacks(draw):
+    """(members, rows, classes) stacks with 1-4 members and 2-11 classes,
+    optionally rounded to force ties, with some all-zero class columns and
+    sometimes rows normalized to distributions."""
+    l = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=20))
+    c = draw(st.integers(min_value=2, max_value=11))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    stack = rng.random((l, n, c))
+    if draw(st.booleans()):
+        stack = np.round(stack, draw(st.integers(min_value=0, max_value=1)))
+    zero = draw(st.lists(st.integers(min_value=0, max_value=c - 1), max_size=c))
+    stack[:, :, zero] = 0.0
+    if draw(st.booleans()):
+        totals = stack.sum(axis=2, keepdims=True)
+        stack = np.divide(stack, totals, out=stack.copy(), where=totals > 0)
+    return stack
 
 
 class TestCombine:
@@ -120,6 +175,31 @@ class TestCombine:
             assert result.distribution.sum() == pytest.approx(1.0)
 
 
+class TestCombineStack:
+    @settings(max_examples=300, deadline=None)
+    @given(stack=member_stacks(), rule=st.sampled_from(ALL_RULES))
+    def test_matches_per_row_oracle_bit_for_bit(self, stack, rule):
+        labels, scores = combine_stack(stack, rule)
+        assert labels.shape == (stack.shape[1],)
+        assert scores.shape == stack.shape[1:]
+        for i in range(stack.shape[1]):
+            label, expected = oracle_combine(stack[:, i, :], rule)
+            assert labels[i] == label
+            assert scores[i].tobytes() == expected.tobytes()
+            single = combine(stack[:, i, :], rule)
+            assert single.label == label
+            assert single.distribution.tobytes() == expected.tobytes()
+
+    def test_all_zero_rows_become_uniform(self):
+        stack = np.zeros((2, 3, 4))
+        for rule in (CombinationRule.PRODUCT_OF_PROBABILITIES,
+                     CombinationRule.MINIMUM_PROBABILITY,
+                     CombinationRule.MAXIMUM_PROBABILITY):
+            labels, scores = combine_stack(stack, rule)
+            assert (labels == 0).all()
+            assert (scores == 0.25).all()
+
+
 class TestVoteEnsemble:
     def test_members_must_agree_on_shape(self):
         ds_a = make_blobs(seed=0, n=60, d=4)
@@ -145,11 +225,17 @@ class TestVoteEnsemble:
 
     def test_batch_agrees_with_single_row(self):
         ds = make_blobs(seed=3, n=80, d=4)
-        members = [c45_fit(ds), c45_fit(ds, params=TreeParams(min_leaf=5))]
+        members = [c45_fit(ds), c45_fit(ds, params=TreeParams(min_leaf=5)),
+                   make_fitter(ClassifierSpec("rf", n_trees=3))(ds, None, 4)]
         for rule in ALL_RULES:
             ens = VoteEnsemble(members=members, rule=rule)
             labels, dist = ensemble_predict_batch(ens, ds.features[:10])
             for i in range(10):
-                single = ensemble_predict(ens, ds.features[i])
-                assert single.label == labels[i]
-                assert np.allclose(single.distribution, dist[i])
+                row = ds.features[i]
+                label, expected = oracle_combine(np.array([m.predict(row) for m in members]),
+                                                 rule)
+                assert labels[i] == label
+                assert dist[i].tobytes() == expected.tobytes()
+                single = ensemble_predict(ens, row)
+                assert single.label == label
+                assert single.distribution.tobytes() == expected.tobytes()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,3 +172,35 @@ class TestCrossValidate:
         ds = make_blobs(seed=8, n=60, d=4)
         result = cross_validate(ds, [ClassifierSpec("c45")], k=3, seed=0)
         assert result.report.mbt_seconds > 0.0
+
+    def test_members_match_one_member_runs(self):
+        ds = make_blobs(seed=9, n=90, d=4, spread=0.3)
+        specs = [ClassifierSpec("rf", n_trees=3), ClassifierSpec("c45"),
+                 ClassifierSpec("forest_pa", n_trees=2)]
+        for rule in (CombinationRule.MAJORITY_VOTING,
+                     CombinationRule.PRODUCT_OF_PROBABILITIES):
+            result = cross_validate(ds, specs, k=3, repeats=2, seed=5, rule=rule)
+            assert len(result.members) == 3
+            # Members at index 0 draw the seeds a one-member run draws, and
+            # c45 draws none, so both match their standalone runs exactly.
+            for spec, member in zip(specs[:2], result.members):
+                alone = cross_validate(ds, [spec], k=3, repeats=2, seed=5, rule=rule)
+                assert member.members == []
+                assert np.array_equal(member.confusion.counts, alone.confusion.counts)
+                for got, want in zip([member.report] + member.per_repeat,
+                                     [alone.report] + alone.per_repeat):
+                    assert replace(got, mbt_seconds=0.0) == replace(want, mbt_seconds=0.0)
+            assert result.report.mbt_seconds == pytest.approx(
+                sum(m.report.mbt_seconds for m in result.members))
+
+    def test_each_member_fitted_once_per_fold(self):
+        ds = make_dataset(np.random.default_rng(0).random((60, 3)), [0, 1] * 30)
+        calls = []
+
+        def fit(dataset, rows, seed):
+            calls.append(seed)
+            return MajorityModel(dataset.n_features, dataset.n_classes, winner=1)
+
+        result = cross_validate(ds, [fit, fit], k=3, repeats=2, seed=0)
+        assert len(calls) == 2 * 3 * 2
+        assert [m.report.accuracy for m in result.members] == [0.5, 0.5]

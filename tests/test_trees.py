@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idsforge.errors import InputError
-from idsforge.trees import (TreeParams, c45_fit, entropy, forest_pa_fit,
+from idsforge.trees import (DecisionTree, TreeNode, TreeParams, c45_fit,
+                            entropy, forest_pa_fit,
                             forest_predict, gain_ratio, load_model,
                             model_from_doc, model_to_doc, rf_fit, save_model,
                             split_info, tree_height, tree_predict,
@@ -365,7 +366,44 @@ class TestForestPredict:
         assert np.allclose(sums, 1.0, atol=1e-9)
 
 
+def chain_tree(depth):
+    """A one-feature tree whose split nodes each peel one leaf off to the
+    left, so it is `depth` edges deep."""
+    leaf = TreeNode(depth=depth, distribution=np.array([0.25, 0.75]))
+    node = leaf
+    for d in range(depth - 1, -1, -1):
+        left = TreeNode(depth=d + 1, distribution=np.array([0.75, 0.25]) if d % 2 else
+                        np.array([0.5, 0.5]))
+        node = TreeNode(depth=d, split_feature=0, threshold=d + 0.5, left=left, right=node)
+    return DecisionTree(root=node, n_features=1, n_classes=2, params=TreeParams())
+
+
 class TestSerialization:
+    def test_deep_chain_round_trip_bit_exact(self, tmp_path):
+        tree = chain_tree(1500)
+        assert tree_height(tree) == 1500
+        path = tmp_path / "chain.json"
+        save_model(tree, str(path))
+        back = load_model(str(path))
+        probes = np.arange(-1.0, 1502.0, 0.5)[:, None]
+        assert np.array_equal(tree_predict_batch(tree, probes),
+                              tree_predict_batch(back, probes))
+        assert model_to_doc(back) == model_to_doc(tree)
+
+    def test_document_lists_nodes_in_preorder(self):
+        doc = model_to_doc(chain_tree(1))
+        assert doc["nodes"] == [
+            {"depth": 0, "feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+            {"depth": 1, "distribution": [0.5, 0.5]},
+            {"depth": 1, "distribution": [0.25, 0.75]},
+        ]
+
+    def test_cyclic_links_rejected(self):
+        doc = model_to_doc(chain_tree(2))
+        doc["nodes"][2]["right"] = 0
+        with pytest.raises(InputError):
+            model_from_doc(doc)
+
     def test_tree_round_trip_bit_exact(self, tmp_path):
         ds = make_blobs(seed=1, n=100, d=6)
         tree = c45_fit(ds, params=TreeParams(min_leaf=1, min_gain=0.0))
