@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -15,29 +15,37 @@ from .errors import InputError
 # Tokens zero-filled during filtering; anything else that still parses to a
 # non-finite float makes the whole column symbolic at encoding time.
 NONFINITE_TOKENS = frozenset({"Infinity", "-Infinity", "NaN"})
+_ZERO_FILLED = dict.fromkeys(("", *NONFINITE_TOKENS), "0")
 
 ARTIFACT_VERSION = 1
 
 
 @dataclass(frozen=True)
 class RawTable:
-    """A parsed CSV with every cell kept as text."""
+    """A parsed CSV held column by column, every cell kept as text.
+
+    columns[j] holds the tokens of column j in row order. filter_table hands
+    unchanged column lists on to the table it returns, so no step modifies
+    them in place.
+    """
 
     column_names: list[str]
-    cells: list[list[str]]
+    columns: list[list[str]]
     label_column: int
 
     def __post_init__(self):
         width = len(self.column_names)
-        for i, row in enumerate(self.cells):
-            if len(row) != width:
-                raise InputError(f"row {i + 1} has {len(row)} cells, expected {width}")
+        if len(self.columns) != width:
+            raise InputError(f"{len(self.columns)} columns for {width} column names")
         if not 0 <= self.label_column < width:
             raise InputError(f"label column index {self.label_column} out of range for {width} columns")
+        for name, column in zip(self.column_names, self.columns):
+            if len(column) != self.n_rows:
+                raise InputError(f"column {name!r} has {len(column)} cells, expected {self.n_rows}")
 
     @property
     def n_rows(self) -> int:
-        return len(self.cells)
+        return len(self.columns[self.label_column])
 
     @property
     def n_columns(self) -> int:
@@ -183,29 +191,29 @@ def load_csv(path, label_column, has_header: bool = True) -> RawTable:
         raise InputError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        header = None
-        cells = []
-        width = None
-        for row in reader:
-            if not row:
-                continue
-            if has_header and header is None:
-                header = row
-                width = len(row)
-                continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+        rows = (row for row in reader if row)
+        first = next(rows, None)
+        if first is None:
+            raise InputError(f"{path} is empty")
+        if has_header:
+            header = first
+        else:
+            header = [f"col_{j}" for j in range(len(first))]
+            rows = itertools.chain([first], rows)
+        width = len(header)
+        columns = [[] for _ in header]
+        # One string object per distinct token of a column: the table then
+        # costs a pointer per cell rather than a string per cell.
+        distinct = [{} for _ in header]
+        for row in rows:
+            if len(row) != width:
                 raise InputError(
                     f"ragged row at line {reader.line_num}: {len(row)} cells, expected {width}"
                 )
-            cells.append(row)
-    if width is None:
-        raise InputError(f"{path} is empty")
-    if header is None:
-        header = [f"col_{j}" for j in range(width)]
+            # list.append returns None, so any() runs the appends to the end.
+            any(map(list.append, columns, map(dict.setdefault, distinct, row, row)))
     label = _resolve_label_column(header, label_column, has_header)
-    return RawTable(column_names=header, cells=cells, label_column=label)
+    return RawTable(column_names=header, columns=columns, label_column=label)
 
 
 def _resolve_label_column(header, label_column, has_header):
@@ -229,77 +237,83 @@ def filter_table(raw: RawTable) -> tuple[RawTable, PreprocessReport]:
 
     Duplicate-named feature columns keep their first occurrence, missing and
     non-finite cells become "0", and feature columns that end up constant are
-    dropped. The label column is never rewritten or dropped.
+    dropped: those with one distinct token, or whose distinct tokens all parse
+    to the same finite number ("1" and "1.0", "0" and "-0"). The label column
+    is never rewritten or dropped.
     """
     label_j = raw.label_column
-    keep: list[int] = []
-    seen: set[str] = set()
-    dropped_dup: list[str] = []
-    for j, name in enumerate(raw.column_names):
-        if j == label_j:
-            keep.append(j)
-            continue
-        if name in seen:
-            dropped_dup.append(name)
-            continue
-        seen.add(name)
-        keep.append(j)
-
-    missing = 0
-    nonfinite = 0
-    columns: dict[int, list[str]] = {j: [] for j in keep}
-    for row in raw.cells:
-        for j in keep:
-            tok = row[j]
-            if j != label_j:
-                if tok == "":
-                    missing += 1
-                    tok = "0"
-                elif tok in NONFINITE_TOKENS:
-                    nonfinite += 1
-                    tok = "0"
-            columns[j].append(tok)
-
-    label_values = set(columns[label_j]) if raw.cells else set()
-    if raw.cells and len(label_values) < 2:
+    if raw.n_rows and len(set(raw.columns[label_j])) < 2:
         raise InputError("label column is constant: dataset contains a single class")
 
+    names: list[str] = []
+    columns: list[list[str]] = []
+    label_out = 0
+    seen: set[str] = set()
+    dropped_dup: list[str] = []
     dropped_const: list[str] = []
-    final: list[int] = []
-    for j in keep:
-        if j != label_j and raw.cells and len(set(columns[j])) == 1:
-            dropped_const.append(raw.column_names[j])
+    missing = 0
+    nonfinite = 0
+    for j, (name, column) in enumerate(zip(raw.column_names, raw.columns)):
+        if j == label_j:
+            label_out = len(columns)
+        elif name in seen:
+            dropped_dup.append(name)
             continue
-        final.append(j)
+        else:
+            seen.add(name)
+            blanks = column.count("")
+            fills = sum(map(column.count, NONFINITE_TOKENS))
+            if blanks or fills:
+                column = list(map(_ZERO_FILLED.get, column, column))
+            missing += blanks
+            nonfinite += fills
+            if _is_constant(column, name):
+                dropped_const.append(name)
+                continue
+        names.append(name)
+        columns.append(column)
 
-    if sum(1 for j in final if j != label_j) == 0:
+    if len(columns) == 1:
         raise InputError("no feature columns remain after filtering")
-
-    names = [raw.column_names[j] for j in final]
-    cells = [[columns[j][i] for j in final] for i in range(raw.n_rows)]
     report = PreprocessReport(
         dropped_constant_features=tuple(dropped_const),
         dropped_duplicate_features=tuple(dropped_dup),
         missing_replaced=missing,
         nonfinite_replaced=nonfinite,
         rows_in=raw.n_rows,
-        rows_out=len(cells),
+        rows_out=raw.n_rows,
     )
-    filtered = RawTable(column_names=names, cells=cells, label_column=final.index(label_j))
-    return filtered, report
+    return RawTable(column_names=names, columns=columns, label_column=label_out), report
 
 
-def _parse_numeric(tokens):
-    values = np.empty(len(tokens), dtype=np.float64)
-    for i, tok in enumerate(tokens):
-        try:
-            v = float(tok)
-        except ValueError:
-            return None
-        if not math.isfinite(v):
-            return None
-        values[i] = v
+def _is_constant(tokens, name) -> bool:
+    distinct = set(tokens)
+    if len(distinct) < 2:
+        return len(distinct) == 1
+    try:
+        values = _parse_numeric(distinct, name)
+    except InputError:
+        return False
+    return values.min() == values.max()
+
+
+def _parse_numeric(tokens, name) -> np.ndarray:
+    """Python float() of every token; InputError naming the column when a
+    token does not parse or parses to NaN or an infinity."""
+    try:
+        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError as exc:
+        raise InputError(f"column {name!r}: {exc}") from None
+    if not np.isfinite(values).all():
+        raise InputError(f"column {name!r} holds a non-finite value")
     return values
+
+
+def _first_appearance_codes(tokens) -> tuple[dict[str, int], np.ndarray]:
+    """Each distinct token's code, 0, 1, ... in order of first appearance,
+    and the code of every token."""
+    codes = dict(zip(dict.fromkeys(tokens), itertools.count()))
+    return codes, np.fromiter(map(codes.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
 
 def encode(raw: RawTable, normal_class_name: str | None = None) -> Dataset:
@@ -320,39 +334,26 @@ def encode(raw: RawTable, normal_class_name: str | None = None) -> Dataset:
     features = np.empty((raw.n_rows, len(feature_cols)), dtype=np.float64)
     meta: list[FeatureMeta] = []
     for out_j, j in enumerate(feature_cols):
-        tokens = [row[j] for row in raw.cells]
-        values = _parse_numeric(tokens)
-        if values is not None:
-            kind, codes = "numeric", None
-        else:
-            kind = "symbolic"
-            codes = {}
-            values = np.empty(len(tokens), dtype=np.float64)
-            for i, tok in enumerate(tokens):
-                if tok not in codes:
-                    codes[tok] = len(codes)
-                values[i] = codes[tok]
+        name = raw.column_names[j]
+        symbol_codes, codes = _first_appearance_codes(raw.columns[j])
+        try:
+            values = _parse_numeric(symbol_codes, name)[codes]
+            kind, symbol_codes = "numeric", None
+        except InputError:
+            kind, values = "symbolic", codes
         features[:, out_j] = values
         meta.append(
             FeatureMeta(
-                name=raw.column_names[j],
+                name=name,
                 original_kind=kind,
                 observed_min=float(values.min()),
                 observed_max=float(values.max()),
-                symbol_codes=codes,
+                symbol_codes=symbol_codes,
             )
         )
 
-    class_names: list[str] = []
-    class_index: dict[str, int] = {}
-    labels = np.empty(raw.n_rows, dtype=np.int64)
-    for i, row in enumerate(raw.cells):
-        tok = row[label_j]
-        if tok not in class_index:
-            class_index[tok] = len(class_names)
-            class_names.append(tok)
-        labels[i] = class_index[tok]
-
+    class_codes, labels = _first_appearance_codes(raw.columns[label_j])
+    class_names = list(class_codes)
     normal = _resolve_normal_class(class_names, normal_class_name)
     return Dataset(
         features=features,
@@ -433,9 +434,8 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldAssignment:
     for cls in range(ds.n_classes):
         rows = np.flatnonzero(ds.labels == cls)
         rows = rows[rng.permutation(rows.size)]
-        for r in rows:
-            assignment[r] = pointer % k
-            pointer += 1
+        assignment[rows] = (pointer + np.arange(rows.size)) % k
+        pointer += rows.size
     return FoldAssignment(k=k, assignment=assignment, seed=seed)
 
 
@@ -457,9 +457,10 @@ def write_dataset_artifact(ds: Dataset, out_dir, report: PreprocessReport | None
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.feature_names + [label_name])
-        for i in range(ds.n_rows):
-            row = [repr(float(v)) for v in ds.features[i]]
-            row.append(ds.class_names[int(ds.labels[i])])
+        # csv writes a Python float as its repr, the shortest exact spelling.
+        for values, label in zip(ds.features, ds.labels.tolist()):
+            row = values.tolist()
+            row.append(ds.class_names[label])
             writer.writerow(row)
     sidecar = {
         "version": ARTIFACT_VERSION,
@@ -483,6 +484,23 @@ def write_dataset_artifact(ds: Dataset, out_dir, report: PreprocessReport | None
         fh.write("\n")
 
 
+# The JSON types of the sidecar's fields and of each feature_meta entry.
+_SIDECAR_FIELDS = {"label_name": str, "class_names": list, "normal_class": int,
+                   "feature_meta": list}
+_FEATURE_FIELDS = {"name": str, "original_kind": str, "observed_min": (int, float),
+                   "observed_max": (int, float), "symbol_codes": (dict, type(None))}
+
+
+def _check_fields(doc, fields, where) -> None:
+    if not isinstance(doc, dict):
+        raise InputError(f"{where} is not a JSON object")
+    for key, kind in fields.items():
+        if key not in doc:
+            raise InputError(f"{where}: missing {key!r}")
+        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
+            raise InputError(f"{where}: {key!r} has the wrong type")
+
+
 def read_dataset_artifact(path) -> Dataset:
     """Load a dataset written by write_dataset_artifact.
 
@@ -501,33 +519,28 @@ def read_dataset_artifact(path) -> Dataset:
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed dataset sidecar {meta_path}: {exc}") from exc
 
-    meta = [
-        FeatureMeta(
-            name=m["name"],
-            original_kind=m["original_kind"],
-            observed_min=m["observed_min"],
-            observed_max=m["observed_max"],
-            symbol_codes=m["symbol_codes"],
-        )
-        for m in sidecar["feature_meta"]
-    ]
+    _check_fields(sidecar, _SIDECAR_FIELDS, meta_path)
+    for m in sidecar["feature_meta"]:
+        _check_fields(m, _FEATURE_FIELDS, f"{meta_path}: feature_meta entry")
     class_names = sidecar["class_names"]
-    class_index = {name: i for i, name in enumerate(class_names)}
+    if not all(isinstance(name, str) for name in class_names):
+        raise InputError(f"{meta_path}: class_names must be strings")
+    meta = [FeatureMeta(**{key: m[key] for key in _FEATURE_FIELDS})
+            for m in sidecar["feature_meta"]]
 
     raw = load_csv(csv_path, label_column=sidecar["label_name"], has_header=True)
     if raw.n_columns != len(meta) + 1:
         raise InputError("dataset.csv column count does not match sidecar metadata")
-    n = raw.n_rows
-    features = np.empty((n, len(meta)), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
+    features = np.empty((raw.n_rows, len(meta)), dtype=np.float64)
     feature_js = [j for j in range(raw.n_columns) if j != raw.label_column]
-    for i, row in enumerate(raw.cells):
-        for out_j, j in enumerate(feature_js):
-            features[i, out_j] = float(row[j])
-        tok = row[raw.label_column]
-        if tok not in class_index:
-            raise InputError(f"label {tok!r} missing from sidecar class names")
-        labels[i] = class_index[tok]
+    for out_j, j in enumerate(feature_js):
+        features[:, out_j] = _parse_numeric(raw.columns[j], raw.column_names[j])
+    tokens, codes = _first_appearance_codes(raw.columns[raw.label_column])
+    class_index = {name: i for i, name in enumerate(class_names)}
+    unknown = [tok for tok in tokens if tok not in class_index]
+    if unknown:
+        raise InputError(f"label {unknown[0]!r} missing from sidecar class names")
+    labels = np.array([class_index[tok] for tok in tokens], dtype=np.int64)[codes]
     return Dataset(
         features=features,
         feature_meta=meta,

@@ -91,8 +91,13 @@ def f_distribution_sf(f_value: float, df1: int, df2: int) -> float:
         return 0.0
     if f_value <= 0.0:
         return 1.0
-    x = df2 / (df2 + df1 * f_value)
-    return regularized_incomplete_beta(x, df2 / 2.0, df1 / 2.0)
+    # sf = I_x(df2/2, df1/2) = 1 - I_y(df1/2, df2/2) with y = 1 - x. For x near
+    # 1 (tiny F) x itself rounds to 1.0, so y is formed directly instead.
+    denom = df2 + df1 * f_value
+    x = df2 / denom
+    if x < 0.5:
+        return regularized_incomplete_beta(x, df2 / 2.0, df1 / 2.0)
+    return 1.0 - regularized_incomplete_beta(df1 * f_value / denom, df1 / 2.0, df2 / 2.0)
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,47 @@ class TestPreprocess:
                      "--out", str(tmp_path / "o")]) == 2
 
 
+def write_cell(art, row, col, text):
+    path = os.path.join(art, "dataset.csv")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = text
+    lines[row] = ",".join(cells)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def edit_sidecar(art, edit):
+    """Rewrite the artifact's sidecar as edit(doc)."""
+    path = os.path.join(art, "dataset.meta.json")
+    doc = edit(read_json(path))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def without_first_name(doc):
+    del doc["feature_meta"][0]["name"]
+    return doc
+
+
+def with_text_minimum(doc):
+    doc["feature_meta"][0]["observed_min"] = "zero"
+    return doc
+
+
+# Each breaks a valid artifact in one way, with a fragment of the error.
+ARTIFACT_DEFECTS = {
+    "non_numeric_cell": (lambda art: write_cell(art, 2, 1, "abc"), "column 'f1'"),
+    "meta_without_name": (lambda art: edit_sidecar(art, without_first_name),
+                          "missing 'name'"),
+    "min_not_a_number": (lambda art: edit_sidecar(art, with_text_minimum),
+                         "'observed_min' has the wrong type"),
+    "sidecar_is_list": (lambda art: edit_sidecar(art, lambda doc: [doc]),
+                        "not a JSON object"),
+}
+
+
 class TestSelect:
     def test_cfs_ba_finds_leak_feature(self, artifact_dir, tmp_path, capsys):
         out = str(tmp_path / "sel")
@@ -94,6 +135,15 @@ class TestSelect:
         assert payload["merit"] > 0.9
         txt = open(os.path.join(out, "subset.txt"), encoding="utf-8").read().strip()
         assert txt == ",".join(str(i) for i in payload["selected"])
+
+    @pytest.mark.parametrize("defect", sorted(ARTIFACT_DEFECTS))
+    def test_bad_artifact_exit_code(self, artifact_dir, tmp_path, capsys, defect):
+        breaks, message = ARTIFACT_DEFECTS[defect]
+        breaks(artifact_dir)
+        assert main(["select", "--input", artifact_dir, "--selector", "none",
+                     "--out", str(tmp_path / "sel")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_ig_top(self, artifact_dir, tmp_path, capsys):
         out = str(tmp_path / "sel_ig")

@@ -66,7 +66,7 @@ class TestFilter:
         assert filtered.column_names.count("Fwd Header Length") == 1
         assert report.dropped_duplicate_features == ("Fwd Header Length",)
         # first occurrence kept: values 1,2,3
-        kept = [row[0] for row in filtered.cells]
+        kept = filtered.columns[0]
         assert kept == ["1", "2", "3"]
 
     def test_constant_column_dropped(self, tmp_path):
@@ -81,10 +81,20 @@ class TestFilter:
             "Flow Packets/s,b,class\nInfinity,1,x\nNaN,2,y\n,3,x\n-Infinity,4,y\n7.5,5,x\n",
         )
         filtered, report = filter_table(load_csv(path, label_column="class"))
-        col = [row[filtered.column_names.index("Flow Packets/s")] for row in filtered.cells]
+        col = filtered.columns[filtered.column_names.index("Flow Packets/s")]
         assert col == ["0", "0", "0", "0", "7.5"]
         assert report.nonfinite_replaced == 3
         assert report.missing_replaced == 1
+
+    def test_numerically_constant_columns_dropped(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            "a,one,zero,mixed,class\n1,1,0,1,x\n2,1.0,-0,one,y\n3,1,0.0,1,x\n4,1e0,0,1,y\n",
+        )
+        filtered, report = filter_table(load_csv(path, label_column="class"))
+        assert filtered.column_names == ["a", "mixed", "class"]
+        assert report.dropped_constant_features == ("one", "zero")
+        normalize(encode(filtered))
 
     def test_all_nonfinite_column_dropped_as_constant(self, tmp_path):
         path = write_csv(tmp_path, "bad,b,class\nInfinity,1,x\nNaN,2,y\n,3,x\n")
@@ -107,8 +117,8 @@ class TestFilter:
         raw = load_csv(path, label_column="class")
         filtered, report = filter_table(raw)
         assert report.rows_in == report.rows_out == 3
-        before = {row[raw.label_column] for row in raw.cells}
-        after = {row[filtered.label_column] for row in filtered.cells}
+        before = set(raw.columns[raw.label_column])
+        after = set(filtered.columns[filtered.label_column])
         assert before == after
 
 
@@ -116,7 +126,7 @@ class TestEncode:
     def test_symbolic_first_appearance(self):
         raw = RawTable(
             column_names=["proto", "class"],
-            cells=[["tcp", "a"], ["udp", "b"], ["icmp", "a"], ["tcp", "b"]],
+            columns=[["tcp", "udp", "icmp", "tcp"], ["a", "b", "a", "b"]],
             label_column=1,
         )
         ds = encode(raw)
@@ -124,38 +134,38 @@ class TestEncode:
         assert ds.feature_meta[0].symbol_codes == {"tcp": 0, "udp": 1, "icmp": 2}
 
     def test_numeric_column(self):
-        raw = RawTable(["v", "class"], [["1.5", "a"], ["2", "b"]], 1)
+        raw = RawTable(["v", "class"], [["1.5", "2"], ["a", "b"]], 1)
         ds = encode(raw)
         assert list(ds.features[:, 0]) == [1.5, 2.0]
         assert ds.feature_meta[0].original_kind == "numeric"
 
     def test_label_mapping(self):
-        raw = RawTable(["v", "class"], [["1", "normal"], ["2", "dos"], ["3", "normal"]], 1)
+        raw = RawTable(["v", "class"], [["1", "2", "3"], ["normal", "dos", "normal"]], 1)
         ds = encode(raw)
         assert ds.class_names == ["normal", "dos"]
         assert list(ds.labels) == [0, 1, 0]
         assert ds.normal_class == 0
 
     def test_mixed_column_becomes_symbolic(self):
-        raw = RawTable(["v", "class"], [["1", "a"], ["oops", "b"], ["3", "a"]], 1)
+        raw = RawTable(["v", "class"], [["1", "oops", "3"], ["a", "b", "a"]], 1)
         ds = encode(raw)
         assert ds.feature_meta[0].original_kind == "symbolic"
 
     def test_unfiltered_nonfinite_token_becomes_symbolic(self):
-        raw = RawTable(["v", "class"], [["1", "a"], ["inf", "b"]], 1)
+        raw = RawTable(["v", "class"], [["1", "inf"], ["a", "b"]], 1)
         ds = encode(raw)
         assert ds.feature_meta[0].original_kind == "symbolic"
         assert np.isfinite(ds.features).all()
 
     def test_empty_table_rejected(self):
-        raw = RawTable(["v", "class"], [], 1)
+        raw = RawTable(["v", "class"], [[], []], 1)
         with pytest.raises(InputError):
             encode(raw)
 
     def test_symbol_round_trip(self):
         tokens = ["tcp", "udp", "icmp", "udp", "tcp", "ssh"]
         raw = RawTable(["proto", "class"],
-                       [[t, "a" if i % 2 else "b"] for i, t in enumerate(tokens)], 1)
+                       [tokens, ["a" if i % 2 else "b" for i in range(len(tokens))]], 1)
         ds = encode(raw)
         decoded = [decode_symbol(ds.feature_meta[0], v) for v in ds.features[:, 0]]
         assert decoded == tokens
@@ -183,6 +193,21 @@ class TestNormalize:
         ds = make_dataset([[0.0], [10.0]], [0, 1])
         out = normalize(ds)
         assert out.feature_meta[0].observed_max == 10.0
+
+
+def dealt_row_by_row(ds, k, seed):
+    """Fold assignment by the per-row dealing loop that stratified_folds
+    replaced with one vectorised step per class."""
+    rng = np.random.default_rng(seed)
+    assignment = np.empty(ds.n_rows, dtype=np.int64)
+    pointer = 0
+    for cls in range(ds.n_classes):
+        rows = np.flatnonzero(ds.labels == cls)
+        rows = rows[rng.permutation(rows.size)]
+        for r in rows:
+            assignment[r] = pointer % k
+            pointer += 1
+    return assignment
 
 
 class TestStratifiedFolds:
@@ -227,6 +252,7 @@ class TestStratifiedFolds:
             return
         ds = make_dataset(np.arange(labels.size)[:, None].astype(float), labels)
         folds = stratified_folds(ds, k=k, seed=seed)
+        assert np.array_equal(folds.assignment, dealt_row_by_row(ds, k, seed))
         global_sizes = np.bincount(folds.assignment, minlength=k)
         assert global_sizes.sum() == labels.size
         assert global_sizes.max() - global_sizes.min() <= 1
@@ -239,7 +265,7 @@ class TestArtifact:
     def test_round_trip(self, tmp_path):
         raw = RawTable(
             ["proto", "v", "class"],
-            [["tcp", "1.25", "normal"], ["udp", "3.5", "dos"], ["tcp", "0.0", "normal"]],
+            [["tcp", "udp", "tcp"], ["1.25", "3.5", "0.0"], ["normal", "dos", "normal"]],
             2,
         )
         ds = normalize(encode(raw))
