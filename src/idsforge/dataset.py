@@ -235,11 +235,12 @@ def _resolve_label_column(header, label_column, has_header):
 def filter_table(raw: RawTable) -> tuple[RawTable, PreprocessReport]:
     """Clean a raw table before encoding.
 
-    Duplicate-named feature columns keep their first occurrence, missing and
-    non-finite cells become "0", and feature columns that end up constant are
-    dropped: those with one distinct token, or whose distinct tokens all parse
-    to the same finite number ("1" and "1.0", "0" and "-0"). The label column
-    is never rewritten or dropped.
+    Duplicate-named feature columns keep their first occurrence, and a
+    feature column named like the label counts as a duplicate of it. Missing
+    and non-finite cells become "0", and feature columns that end up constant
+    are dropped: those with one distinct token, or whose distinct tokens all
+    parse to the same finite number ("1" and "1.0", "0" and "-0"). The label
+    column is never rewritten or dropped.
     """
     label_j = raw.label_column
     if raw.n_rows and len(set(raw.columns[label_j])) < 2:
@@ -248,7 +249,7 @@ def filter_table(raw: RawTable) -> tuple[RawTable, PreprocessReport]:
     names: list[str] = []
     columns: list[list[str]] = []
     label_out = 0
-    seen: set[str] = set()
+    seen = {raw.column_names[label_j]}
     dropped_dup: list[str] = []
     dropped_const: list[str] = []
     missing = 0

@@ -11,6 +11,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InputError
+from .trees import entropy
 
 
 @dataclass(frozen=True)
@@ -140,51 +141,47 @@ def _bin_column(x: np.ndarray, bins: int) -> np.ndarray:
     return np.searchsorted(edges, x, side="right").astype(np.int64)
 
 
-def _entropy_of_codes(codes: np.ndarray) -> float:
-    counts = np.bincount(codes)
-    counts = counts[counts > 0]
-    total = counts.sum()
-    p = counts / total
-    return float(-(p * np.log2(p)).sum())
-
-
-def _joint_entropy(a: np.ndarray, b: np.ndarray) -> float:
-    width = int(b.max()) + 1
-    return _entropy_of_codes(a * width + b)
-
-
-def mutual_information(a: np.ndarray, b: np.ndarray) -> float:
-    """I(A; B) in bits over integer codes, clipped at 0 against float noise."""
-    mi = _entropy_of_codes(a) + _entropy_of_codes(b) - _joint_entropy(a, b)
-    return max(mi, 0.0)
-
-
-def symmetric_uncertainty(a: np.ndarray, b: np.ndarray) -> float:
-    """SU(A, B) = 2 I(A;B) / (H(A) + H(B)), defined as 0 when both are constant."""
-    ha = _entropy_of_codes(a)
-    hb = _entropy_of_codes(b)
-    if ha + hb == 0.0:
-        return 0.0
-    su = 2.0 * mutual_information(a, b) / (ha + hb)
-    return min(max(su, 0.0), 1.0)
-
-
-def build_correlation_cache(ds: Dataset, bins: int = 10) -> CorrelationCache:
-    """Bin every feature and fill the pairwise SU matrices used by the merit."""
+def _information_table(ds: Dataset, bins: int):
+    """Bin each feature once. Returns the codes, each feature's entropy H(j),
+    the label's entropy H(y) and each feature's gain I(j; y), in bits."""
     if bins < 2:
         raise InputError("need at least 2 bins")
     if ds.n_rows == 0:
         raise InputError("empty dataset")
-    d = ds.n_features
-    codes = [_bin_column(ds.features[:, j], bins) for j in range(d)]
-    label_codes = ds.labels.astype(np.int64)
-    feature_class = np.array([symmetric_uncertainty(codes[j], label_codes) for j in range(d)])
+    codes = [_bin_column(ds.features[:, j], bins) for j in range(ds.n_features)]
+    labels = ds.labels.astype(np.int64)
+    entropies = [entropy(np.bincount(c)) for c in codes]
+    h_class = entropy(np.bincount(labels))
+    width = int(labels.max()) + 1
+    gains = [_information(h, h_class, entropy(np.bincount(c * width + labels)))
+             for c, h in zip(codes, entropies)]
+    return codes, entropies, h_class, gains
+
+
+def _information(ha: float, hb: float, h_joint: float) -> float:
+    """I(A; B) from the marginal and joint entropies, clipped at 0 against float noise."""
+    return max(ha + hb - h_joint, 0.0)
+
+
+def _symmetric_uncertainty(ha: float, hb: float, mi: float) -> float:
+    """SU(A, B) = 2 I(A;B) / (H(A) + H(B)), defined as 0 when both are constant."""
+    if ha + hb == 0.0:
+        return 0.0
+    return min(max(2.0 * mi / (ha + hb), 0.0), 1.0)
+
+
+def build_correlation_cache(ds: Dataset, bins: int = 10) -> CorrelationCache:
+    """Fill the pairwise SU matrices used by the merit: one joint entropy per pair."""
+    codes, h, h_class, gains = _information_table(ds, bins)
+    d = len(codes)
+    feature_class = np.array([_symmetric_uncertainty(h[j], h_class, gains[j]) for j in range(d)])
+    widths = [int(c.max()) + 1 for c in codes]
     feature_feature = np.eye(d)
     for i in range(d):
         for j in range(i + 1, d):
-            su = symmetric_uncertainty(codes[i], codes[j])
-            feature_feature[i, j] = su
-            feature_feature[j, i] = su
+            h_joint = entropy(np.bincount(codes[i] * widths[j] + codes[j]))
+            su = _symmetric_uncertainty(h[i], h[j], _information(h[i], h[j], h_joint))
+            feature_feature[i, j] = feature_feature[j, i] = su
     return CorrelationCache(feature_class=feature_class, feature_feature=feature_feature, bins=bins)
 
 
@@ -388,27 +385,21 @@ def exhaustive_best_subset(cache: CorrelationCache) -> tuple[FeatureSubset, floa
     return best, best_merit
 
 
+def _ranked(scores: list[float]) -> list[tuple[int, float]]:
+    order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
+    return [(j, scores[j]) for j in order]
+
+
 def ig_rank(ds: Dataset, bins: int = 10) -> list[tuple[int, float]]:
     """Features ordered by information gain with the label, ties by index."""
-    d = ds.n_features
-    codes = [_bin_column(ds.features[:, j], bins) for j in range(d)]
-    labels = ds.labels.astype(np.int64)
-    scores = [mutual_information(codes[j], labels) for j in range(d)]
-    order = sorted(range(d), key=lambda j: (-scores[j], j))
-    return [(j, scores[j]) for j in order]
+    _, _, _, gains = _information_table(ds, bins)
+    return _ranked(gains)
 
 
 def igr_rank(ds: Dataset, bins: int = 10) -> list[tuple[int, float]]:
     """Features ordered by gain ratio IG / H(feature); zero-entropy features score 0."""
-    d = ds.n_features
-    codes = [_bin_column(ds.features[:, j], bins) for j in range(d)]
-    labels = ds.labels.astype(np.int64)
-    scores = []
-    for j in range(d):
-        h = _entropy_of_codes(codes[j])
-        scores.append(mutual_information(codes[j], labels) / h if h > 0 else 0.0)
-    order = sorted(range(d), key=lambda j: (-scores[j], j))
-    return [(j, scores[j]) for j in order]
+    _, entropies, _, gains = _information_table(ds, bins)
+    return _ranked([g / h if h > 0 else 0.0 for g, h in zip(gains, entropies)])
 
 
 def selection_report(subset: FeatureSubset, trace: SelectionTrace, ds: Dataset) -> dict:

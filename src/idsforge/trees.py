@@ -28,10 +28,10 @@ _SWEEP_CHUNK_ELEMENTS = 16_000_000
 
 
 def entropy(counts) -> float:
-    """Shannon entropy in bits of a class-count vector, with 0 log 0 = 0."""
+    """Shannon entropy in bits of a count vector, with 0 log 0 = 0."""
     c = np.asarray(counts, dtype=np.float64)
     if (c < 0).any():
-        raise InputError("negative class count")
+        raise InputError("negative count")
     total = c.sum()
     if total <= 0:
         raise InputError("entropy of an empty set is undefined")
@@ -42,15 +42,7 @@ def entropy(counts) -> float:
 
 def split_info(partition_sizes) -> float:
     """Entropy of the partition-size distribution (how evenly a split cuts)."""
-    sizes = np.asarray(partition_sizes, dtype=np.float64)
-    if (sizes < 0).any():
-        raise InputError("negative partition size")
-    total = sizes.sum()
-    if total <= 0:
-        raise InputError("split info of an empty partition is undefined")
-    nz = sizes[sizes > 0]
-    p = nz / total
-    return float(-(p * np.log2(p)).sum())
+    return entropy(partition_sizes)
 
 
 def gain_ratio(parent_counts, child_counts_list) -> float:
@@ -313,14 +305,11 @@ def c45_fit(ds: Dataset, rows=None, params: TreeParams | None = None,
 
 
 def tree_predict(tree: DecisionTree, row) -> np.ndarray:
-    """Class distribution of the leaf the row lands in."""
+    """Class distribution of the leaf the row lands in: a batch of one."""
     row = np.asarray(row, dtype=np.float64)
     if row.shape != (tree.n_features,):
         raise InputError(f"row has {row.size} values, tree expects {tree.n_features}")
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if row[node.split_feature] <= node.threshold else node.right
-    return node.distribution
+    return tree_predict_batch(tree, row[None])[0]
 
 
 def tree_predict_batch(tree: DecisionTree, rows) -> np.ndarray:
@@ -502,14 +491,11 @@ def forest_pa_fit(ds: Dataset, rows=None, n_trees: int = 100,
 
 
 def forest_predict(forest: Forest, row) -> np.ndarray:
-    """Arithmetic mean of the member trees' leaf distributions."""
+    """Arithmetic mean of the member trees' leaf distributions: a batch of one."""
     row = np.asarray(row, dtype=np.float64)
     if row.shape != (forest.n_features,):
         raise InputError(f"row has {row.size} values, forest expects {forest.n_features}")
-    acc = np.zeros(forest.n_classes, dtype=np.float64)
-    for tree in forest.trees:
-        acc += tree_predict(tree, row)
-    return acc / len(forest.trees)
+    return forest_predict_batch(forest, row[None])[0]
 
 
 def forest_predict_batch(forest: Forest, rows) -> np.ndarray:

@@ -1,10 +1,14 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from idsforge.cli import main
 from idsforge.dataset import (normalize, read_dataset_artifact,
@@ -36,6 +40,11 @@ def write_toy_csv(tmp_path, name="toy.csv"):
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def read_text(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 RUN_VARYING = ("mbt_seconds", "seconds", "created_utc")
@@ -82,6 +91,30 @@ class TestPreprocess:
         path.write_text("a,b,class\n1,2,x\n1,y\n1,2,x\n", encoding="utf-8")
         assert main(["preprocess", "--input", str(path), "--label-column", "class",
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("header, label", [
+        ("a,class,b,class", "class"),  # the label is the first 'class'
+        ("class,a,b,class", "3"),  # the label comes after its namesake
+    ])
+    def test_feature_named_like_label_is_dropped(self, tmp_path, capsys, header, label):
+        names = header.split(",")
+        label_j = int(label) if label.isdigit() else names.index(label)
+        lines = [header]
+        for i in range(8):
+            cells = [str(i % 3 + 0.5 * k) for k in range(len(names))]
+            cells[label_j] = ("normal", "dos")[i % 2]
+            lines.append(",".join(cells))
+        path = tmp_path / "named.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        prep = str(tmp_path / "prep")
+        assert main(["preprocess", "--input", str(path), "--label-column", label,
+                     "--out", prep]) == 0
+        report = read_json(os.path.join(prep, "preprocess_report.json"))
+        assert report["dropped_duplicate_features"] == ["class"]
+        assert read_text(os.path.join(prep, "dataset.csv")).splitlines()[0] == "a,b,class"
+        out = str(tmp_path / "sel")
+        assert main(["select", "--input", prep, "--selector", "none", "--out", out]) == 0
+        assert read_json(os.path.join(out, "subset.json"))["names"] == ["a", "b"]
 
 
 def write_cell(art, row, col, text):
@@ -133,7 +166,7 @@ class TestSelect:
         payload = read_json(os.path.join(out, "subset.json"))
         assert 0 in payload["selected"]
         assert payload["merit"] > 0.9
-        txt = open(os.path.join(out, "subset.txt"), encoding="utf-8").read().strip()
+        txt = read_text(os.path.join(out, "subset.txt")).strip()
         assert txt == ",".join(str(i) for i in payload["selected"])
 
     @pytest.mark.parametrize("defect", sorted(ARTIFACT_DEFECTS))
@@ -152,6 +185,16 @@ class TestSelect:
         payload = read_json(os.path.join(out, "subset.json"))
         assert len(payload["selected"]) == 3
         assert 0 in payload["selected"]
+
+    @pytest.mark.parametrize("selector", ["cfs-ba", "ig", "igr"])
+    @pytest.mark.parametrize("bins", ["1", "0", "-3"])
+    def test_fewer_than_two_bins_exit_code(self, artifact_dir, tmp_path, capsys,
+                                           selector, bins):
+        out = tmp_path / "sel"
+        assert main(["select", "--input", artifact_dir, "--selector", selector,
+                     f"--bins={bins}", "--out", str(out)]) == 2
+        assert "at least 2 bins" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_reproducibility_modulo_timing(self, artifact_dir, tmp_path, capsys):
         outs = []
@@ -286,7 +329,7 @@ class TestStats:
         assert payload["friedman"]["p_value"] == pytest.approx(0.0029, abs=0.002)
         pairs = payload["nemenyi"]["0.05"]["significant_pairs"]
         assert [(p["first"], p["second"]) for p in pairs] == [("Voting", "MLP")]
-        summary = open(os.path.join(out, "cd_summary.txt"), encoding="utf-8").read()
+        summary = read_text(os.path.join(out, "cd_summary.txt"))
         assert "Voting vs MLP" in summary
 
     def test_metric_values_are_ranked(self, tmp_path):
@@ -341,3 +384,56 @@ class TestEntryPoint:
                 for block in reports:
                     block["mbt_seconds"] = None
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# Cell spellings a capture may hold: blanks, non-finite and extreme numbers,
+# odd zero and float spellings, quotes and symbols.
+FUZZ_CELLS = ("", "NaN", "nan", "Infinity", "-inf", "1e308", "-1e308", "-0", "0", "1",
+              "1.0", "2.5", "007", '"', 'a"b', ",", "tcp", "#", "\u00e9", " ")
+FUZZ_NAMES = ("f", "g", "class", "", "f g")
+FUZZ_LABELS = ("normal", "dos", "probe", "")
+
+
+@st.composite
+def fuzz_tables(draw):
+    n_features = draw(st.integers(min_value=1, max_value=4))
+    n_rows = draw(st.integers(min_value=2, max_value=12))
+    label_j = draw(st.integers(min_value=0, max_value=n_features))
+    names = [draw(st.sampled_from(FUZZ_NAMES)) for _ in range(n_features)]
+    names.insert(label_j, "class")
+    rows = []
+    for _ in range(n_rows):
+        row = [draw(st.sampled_from(FUZZ_CELLS)) for _ in range(n_features)]
+        row.insert(label_j, draw(st.sampled_from(FUZZ_LABELS)))
+        rows.append(row)
+    label = draw(st.sampled_from(["class", str(label_j)]))
+    return [names] + rows, label
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(table=fuzz_tables(),
+           selector=st.sampled_from([["none"], ["ig"],
+                                     ["cfs-ba", "--n-bats", "3", "--iterations", "3"]]))
+    def test_pipeline_exits_zero_or_two(self, table, selector):
+        rows, label = table
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "in.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+            prep = os.path.join(work, "prep")
+            code = main(["preprocess", "--input", path, "--label-column", label,
+                         "--out", prep])
+            assert code in (0, 2)
+            if code != 0:
+                return
+            assert main(["select", "--input", prep, "--selector", "none",
+                         "--out", os.path.join(work, "all")]) == 0
+            sel = os.path.join(work, "sel")
+            code = main(["select", "--input", prep, "--selector", *selector, "--out", sel])
+            assert code in (0, 2)
+            subset = ["--subset-file", os.path.join(sel, "subset.json")] if code == 0 else []
+            assert main(["evaluate", "--input", prep, *subset, "--classifiers", "c45",
+                         "--k", "2", "--threads", "1",
+                         "--out", os.path.join(work, "eval")]) in (0, 2)

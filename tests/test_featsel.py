@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from idsforge.dataset import normalize
 from idsforge.errors import InputError
 from idsforge.featsel import (Bat, BatSwarmConfig, CorrelationCache,
-                              FeatureSubset, bat_step, binarize,
+                              FeatureSubset, _bin_column, bat_step, binarize,
                               build_correlation_cache, cfs_ba_select,
                               cfs_merit, exhaustive_best_subset, ig_rank,
                               igr_rank, local_walk, update_loudness_rate)
@@ -37,6 +37,74 @@ def make_bat(d=3, **kw):
     )
     defaults.update(kw)
     return Bat(**defaults)
+
+
+def oracle_entropy(codes):
+    counts = np.bincount(codes)
+    counts = counts[counts > 0]
+    p = counts / counts.sum()
+    return float(-(p * np.log2(p)).sum())
+
+
+def oracle_mutual_information(a, b):
+    joint = a * (int(b.max()) + 1) + b
+    return max(oracle_entropy(a) + oracle_entropy(b) - oracle_entropy(joint), 0.0)
+
+
+def oracle_symmetric_uncertainty(a, b):
+    """The per-pair scorer the shared information table replaced: it bins
+    nothing itself but recomputes both marginals for every pair."""
+    ha = oracle_entropy(a)
+    hb = oracle_entropy(b)
+    if ha + hb == 0.0:
+        return 0.0
+    return min(max(2.0 * oracle_mutual_information(a, b) / (ha + hb), 0.0), 1.0)
+
+
+@st.composite
+def scored_datasets(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    d = draw(st.integers(min_value=1, max_value=5))
+    c = draw(st.integers(min_value=1, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(n) % min(c, n))  # every class present
+    # mix few-valued (pass-through) and many-valued (quantile) columns
+    levels = draw(st.lists(st.sampled_from([1, 2, 3, 7, 1000]), min_size=d, max_size=d))
+    feats = np.column_stack([rng.integers(0, k, n) / k for k in levels])
+    ds = make_dataset(feats, labels)
+    return ds, draw(st.integers(min_value=2, max_value=12))
+
+
+class TestInformationTable:
+    @settings(max_examples=80, deadline=None)
+    @given(case=scored_datasets())
+    def test_scorers_match_per_pair_oracle_exactly(self, case):
+        ds, bins = case
+        d = ds.n_features
+        codes = [_bin_column(ds.features[:, j], bins) for j in range(d)]
+        labels = ds.labels.astype(np.int64)
+        fc = np.array([oracle_symmetric_uncertainty(codes[j], labels) for j in range(d)])
+        ff = np.eye(d)
+        for i in range(d):
+            for j in range(i + 1, d):
+                ff[i, j] = ff[j, i] = oracle_symmetric_uncertainty(codes[i], codes[j])
+        gains = [oracle_mutual_information(codes[j], labels) for j in range(d)]
+        ratios = [g / oracle_entropy(codes[j]) if oracle_entropy(codes[j]) > 0 else 0.0
+                  for j, g in enumerate(gains)]
+
+        cache = build_correlation_cache(ds, bins)
+        assert cache.feature_class.tobytes() == fc.tobytes()
+        assert cache.feature_feature.tobytes() == ff.tobytes()
+        assert ig_rank(ds, bins) == sorted(enumerate(gains), key=lambda p: (-p[1], p[0]))
+        assert igr_rank(ds, bins) == sorted(enumerate(ratios), key=lambda p: (-p[1], p[0]))
+
+    @pytest.mark.parametrize("bins", [1, 0, -3])
+    def test_fewer_than_two_bins_rejected_by_every_scorer(self, bins):
+        ds = normalize(make_leak_dataset(seed=1, n=40, d=3, classes=2))
+        for scorer in (build_correlation_cache, ig_rank, igr_rank):
+            with pytest.raises(InputError, match="at least 2 bins"):
+                scorer(ds, bins)
 
 
 class TestCorrelationCache:

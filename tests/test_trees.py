@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from idsforge.errors import InputError
 from idsforge.trees import (DecisionTree, TreeNode, TreeParams, c45_fit,
-                            entropy, forest_pa_fit,
-                            forest_predict, gain_ratio, load_model,
+                            entropy, forest_pa_fit, forest_predict,
+                            forest_predict_batch, gain_ratio, load_model,
                             model_from_doc, model_to_doc, rf_fit, save_model,
                             split_info, tree_height, tree_predict,
                             tree_predict_batch, weight_increment, weight_range)
@@ -36,6 +36,15 @@ def brute_force_best_split(X, y, n_classes, min_leaf=1):
             if score > best[0]:
                 best = (score, f, thr)
     return best
+
+
+def oracle_leaf(tree, row):
+    """The leaf a row lands in, found by walking the linked nodes one row at
+    a time: the reference for tree_predict_batch."""
+    node = tree.root
+    while not node.is_leaf:
+        node = node.left if row[node.split_feature] <= node.threshold else node.right
+    return node
 
 
 class TestEntropy:
@@ -192,11 +201,9 @@ class TestC45:
         # every leaf carries at least min_leaf training rows: verify by
         # routing the training data
         leaves = {}
-        for i in range(len(feats)):
-            node = tree.root
-            while not node.is_leaf:
-                node = node.left if feats[i, node.split_feature] <= node.threshold else node.right
-            leaves[id(node)] = leaves.get(id(node), 0) + 1
+        for row in feats:
+            leaf = oracle_leaf(tree, row)
+            leaves[id(leaf)] = leaves.get(id(leaf), 0) + 1
         assert min(leaves.values()) >= 5
 
 
@@ -230,6 +237,21 @@ class TestTreePredict:
         tree = c45_fit(ds)
         with pytest.raises(InputError):
             tree_predict(tree, [0.5])
+
+    @pytest.mark.parametrize("kind", ["c45", "rf", "forest_pa"])
+    def test_batch_matches_oracle_walk_bit_for_bit(self, kind):
+        ds = make_blobs(seed=6, n=150, d=5, spread=0.4)
+        fits = {"c45": lambda: [c45_fit(ds, params=TreeParams(min_leaf=1, min_gain=0.0))],
+                "rf": lambda: rf_fit(ds, n_trees=4, seed=2).trees,
+                "forest_pa": lambda: forest_pa_fit(ds, n_trees=4, seed=2).trees}
+        # training rows, their midpoints (ties with thresholds) and far probes
+        probes = np.vstack([ds.features, (ds.features[:-1] + ds.features[1:]) / 2,
+                            np.random.default_rng(1).uniform(-2, 3, (100, 5))])
+        for tree in fits[kind]():
+            expected = np.array([oracle_leaf(tree, row).distribution for row in probes])
+            assert tree_predict_batch(tree, probes).tobytes() == expected.tobytes()
+            for row, dist in zip(probes[::25], expected[::25]):
+                assert tree_predict(tree, row).tobytes() == dist.tobytes()
 
 
 class TestRandomForest:
@@ -350,6 +372,19 @@ class TestForestPredict:
         row = ds.features[3]
         assert np.array_equal(forest_predict(forest, row),
                               tree_predict(forest.trees[0], row))
+
+    def test_single_row_matches_oracle_mean_bit_for_bit(self):
+        ds = make_blobs(seed=8, n=120, d=4, spread=0.4)
+        probes = np.random.default_rng(4).uniform(-1, 2, (40, 4))
+        for forest in (rf_fit(ds, n_trees=5, seed=3), forest_pa_fit(ds, n_trees=5, seed=3)):
+            batch = forest_predict_batch(forest, probes)
+            for row, dist in zip(probes, batch):
+                acc = np.zeros(forest.n_classes)
+                for tree in forest.trees:
+                    acc += oracle_leaf(tree, row).distribution
+                expected = acc / len(forest.trees)
+                assert dist.tobytes() == expected.tobytes()
+                assert forest_predict(forest, row).tobytes() == expected.tobytes()
 
     def test_mean_of_two_votes(self):
         from idsforge.trees import DecisionTree, Forest, TreeNode
