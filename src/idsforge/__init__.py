@@ -12,11 +12,10 @@ from .errors import InputError
 from .evaluation import (ClassifierSpec, ConfusionMatrix, CrossValResult,
                          MetricsReport, compute_metrics,
                          confusion_from_predictions, cross_validate)
-from .featsel import (Bat, BatSwarmConfig, CorrelationCache, FeatureSubset,
-                      SelectionTrace, bat_step, binarize,
-                      build_correlation_cache, cfs_ba_select, cfs_merit,
-                      exhaustive_best_subset, ig_rank, igr_rank, local_walk,
-                      update_loudness_rate)
+from .featsel import (BatSwarmConfig, CorrelationCache, FeatureSubset,
+                      SelectionTrace, binarize, build_correlation_cache,
+                      cfs_ba_select, cfs_merit, exhaustive_best_subset,
+                      ig_rank, igr_rank, local_walk)
 from .stats import (FriedmanResult, NemenyiResult, RankTable,
                     f_distribution_sf, friedman_from_mean_ranks, friedman_test,
                     load_metric_table, nemenyi_cd, rank_algorithms,

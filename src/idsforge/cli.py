@@ -32,6 +32,16 @@ from .trees import TreeParams
 
 SELECTORS = ("cfs-ba", "ig", "igr", "none", "list")
 
+# Swarm flag -> (BatSwarmConfig field, type, help). BatSwarmConfig holds the defaults.
+SWARM_FLAGS = {
+    "n-bats": ("n_bats", int, "swarm size"),
+    "iterations": ("max_iterations", int, "swarm iterations"),
+    "alpha": ("alpha", float, "loudness decay in (0,1)"),
+    "gamma": ("gamma", float, "pulse-rate growth > 0"),
+    "f-min": ("f_min", float, "lowest flight frequency"),
+    "f-max": ("f_max", float, "highest flight frequency"),
+}
+
 
 def _load_config(path) -> dict[str, str]:
     config: dict[str, str] = {}
@@ -162,15 +172,10 @@ def _run_selector(ds, opts: Options):
         raise InputError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
     bins = opts.get("bins", 10, int)
     if selector == "cfs-ba":
-        config = BatSwarmConfig(
-            n_bats=opts.get("n-bats", 30, int),
-            f_min=opts.get("f-min", 0.0, float),
-            f_max=opts.get("f-max", 2.0, float),
-            alpha=opts.get("alpha", 0.9, float),
-            gamma=opts.get("gamma", 0.9, float),
-            max_iterations=opts.get("iterations", 100, int),
-            seed=opts.get("seed", 0, int),
-        )
+        values = {field: opts.get(flag, None, cast)
+                  for flag, (field, cast, _) in SWARM_FLAGS.items()}
+        values["seed"] = opts.get("seed", None, int)
+        config = BatSwarmConfig(**{k: v for k, v in values.items() if v is not None})
         subset, trace = cfs_ba_select(ds, config, bins=bins)
         payload = selection_report(subset, trace, ds)
         payload["selector"] = selector
@@ -410,6 +415,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int,
                        help="worker threads (default: IDSFORGE_THREADS or machine parallelism)")
 
+    def selection(p):
+        p.add_argument("--selector", choices=SELECTORS)
+        p.add_argument("--top", type=int, help="feature count for ig / igr")
+        p.add_argument("--features", help="comma list of feature indices")
+        p.add_argument("--bins", type=int, help="discretization bins (default 10)")
+        defaults = BatSwarmConfig()
+        for flag, (field, cast, text) in SWARM_FLAGS.items():
+            p.add_argument(f"--{flag}", type=cast,
+                           help=f"{text} (default {getattr(defaults, field)})")
+
     p = sub.add_parser("preprocess", help="clean, encode and scale a raw CSV")
     common(p)
     p.add_argument("--input", help="raw CSV file")
@@ -421,26 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="pick a feature subset from a preprocessed dataset")
     common(p)
     p.add_argument("--input", help="dataset artifact directory")
-    p.add_argument("--selector", choices=SELECTORS)
-    p.add_argument("--top", type=int, help="feature count for ig / igr")
-    p.add_argument("--features", help="comma list of feature indices (selector 'list')")
-    p.add_argument("--bins", type=int, help="discretization bins (default 10)")
-    p.add_argument("--n-bats", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--alpha", type=float, help="loudness decay in (0,1)")
-    p.add_argument("--gamma", type=float, help="pulse-rate growth > 0")
-    p.add_argument("--f-min", type=float)
-    p.add_argument("--f-max", type=float)
+    selection(p)
 
     p = sub.add_parser("evaluate", help="cross-validate classifiers and their ensemble")
     common(p)
     p.add_argument("--input", help="dataset artifact directory")
-    p.add_argument("--selector", choices=SELECTORS)
-    p.add_argument("--top", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--n-bats", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--features", help="comma list of feature indices")
+    selection(p)
     p.add_argument("--subset-file", help="subset.json or subset.txt from 'select'")
     p.add_argument("--classifiers", help="comma list from: c45, rf, forest_pa")
     p.add_argument("--rule", choices=[r.value for r in CombinationRule])

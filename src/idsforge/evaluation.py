@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -162,6 +163,8 @@ class ClassifierSpec:
             raise InputError(f"unknown classifier {self.kind!r}; expected one of {CLASSIFIER_KINDS}")
         if self.n_trees < 1:
             raise InputError("n_trees must be at least 1")
+        if not math.isfinite(self.rho):
+            raise InputError("rho must be finite")
 
 
 def make_fitter(spec: ClassifierSpec, threads: int = 1):

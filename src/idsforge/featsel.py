@@ -5,13 +5,21 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import InputError
 from .trees import entropy
+
+# Swarm constants: initial positions, loudness and pulse-rate caps are drawn
+# from these ranges, and positions are clipped to +-POSITION_CLAMP.
+POSITION_RANGE = (-1.0, 1.0)
+LOUDNESS_RANGE = (1.0, 2.0)
+PULSE_RATE_RANGE = (0.0, 1.0)
+POSITION_CLAMP = 6.0
+ANCHOR_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -73,20 +81,6 @@ class FeatureSubset:
 
 
 @dataclass(frozen=True)
-class Bat:
-    """One swarm member: continuous position plus loudness/pulse state."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    frequency: float
-    loudness: float
-    pulse_rate: float
-    initial_pulse_rate: float
-    best_fitness: float
-    best_subset: FeatureSubset
-
-
-@dataclass(frozen=True)
 class BatSwarmConfig:
     n_bats: int = 30
     f_min: float = 0.0
@@ -95,27 +89,20 @@ class BatSwarmConfig:
     gamma: float = 0.9
     max_iterations: int = 100
     seed: int = 0
-    loudness_range: tuple[float, float] = (1.0, 2.0)
-    pulse_rate_range: tuple[float, float] = (0.0, 1.0)
-    position_range: tuple[float, float] = (-1.0, 1.0)
-    position_clamp: float = 6.0
-    anchor_scale: float = 2.0
 
     def validate(self):
         if self.n_bats < 2:
             raise InputError("need at least 2 bats")
         if self.max_iterations < 1:
             raise InputError("need at least 1 iteration")
+        if not all(map(math.isfinite, (self.f_min, self.f_max, self.gamma))):
+            raise InputError("f_min, f_max and gamma must be finite")
         if self.f_min > self.f_max:
             raise InputError("f_min must not exceed f_max")
         if not 0.0 < self.alpha < 1.0:
             raise InputError("alpha must lie in (0, 1)")
         if self.gamma <= 0.0:
             raise InputError("gamma must be positive")
-        if self.position_clamp <= 0.0:
-            raise InputError("position clamp must be positive")
-        if self.anchor_scale <= 0.0:
-            raise InputError("anchor scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -229,21 +216,7 @@ def binarize(position: np.ndarray, rng_draws: np.ndarray, guard: int | None = No
     return FeatureSubset(mask=mask)
 
 
-def bat_step(bat: Bat, best_position: np.ndarray, beta: float,
-             f_min: float, f_max: float, position_clamp: float = 6.0) -> Bat:
-    """Frequency-tuned flight: f = f_min + (f_max - f_min) beta,
-    v' = v + (x - x_best) f, x' = clamp(x + v')."""
-    best_position = np.asarray(best_position, dtype=np.float64)
-    if best_position.shape != bat.position.shape:
-        raise InputError("best position has wrong dimension")
-    freq = f_min + (f_max - f_min) * beta
-    velocity = bat.velocity + (bat.position - best_position) * freq
-    position = np.clip(bat.position + velocity, -position_clamp, position_clamp)
-    return replace(bat, position=position, velocity=velocity, frequency=freq)
-
-
-def local_walk(position: np.ndarray, epsilon: np.ndarray, mean_loudness: float,
-               position_clamp: float = 6.0) -> np.ndarray:
+def local_walk(position: np.ndarray, epsilon: np.ndarray, mean_loudness: float) -> np.ndarray:
     """Random walk x + eps * A around a solution, scaled by the mean loudness."""
     position = np.asarray(position, dtype=np.float64)
     epsilon = np.asarray(epsilon, dtype=np.float64)
@@ -251,53 +224,32 @@ def local_walk(position: np.ndarray, epsilon: np.ndarray, mean_loudness: float,
         raise InputError("position and epsilon vectors differ in length")
     if mean_loudness < 0:
         raise InputError("mean loudness must be non-negative")
-    return np.clip(position + epsilon * mean_loudness, -position_clamp, position_clamp)
-
-
-def update_loudness_rate(bat: Bat, alpha: float, gamma: float, t: int) -> Bat:
-    """Shrink loudness geometrically and grow the pulse rate toward its cap."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie in (0, 1)")
-    if gamma <= 0.0:
-        raise InputError("gamma must be positive")
-    return replace(
-        bat,
-        loudness=alpha * bat.loudness,
-        pulse_rate=bat.initial_pulse_rate * (1.0 - math.exp(-gamma * t)),
-    )
-
-
-def _subset_key(subset: FeatureSubset) -> tuple:
-    return (subset.k, tuple(int(b) for b in subset.mask))
+    return np.clip(position + epsilon * mean_loudness, -POSITION_CLAMP, POSITION_CLAMP)
 
 
 def _improves(merit, subset, best_merit, best_subset) -> bool:
     if merit != best_merit:
         return merit > best_merit
-    return _subset_key(subset) < _subset_key(best_subset)
-
-
-def subset_anchor(subset: FeatureSubset, scale: float) -> np.ndarray:
-    """Canonical position encoding of a subset: +scale for selected features,
-    -scale otherwise. Used as the best-solution reference so its bit-flip
-    probabilities under the sigmoid stay away from saturation."""
-    return scale * (2.0 * subset.mask.astype(np.float64) - 1.0)
+    return (subset.k, subset.mask.tolist()) < (best_subset.k, best_subset.mask.tolist())
 
 
 def cfs_ba_select(ds: Dataset, config: BatSwarmConfig | None = None,
                   bins: int = 10) -> tuple[FeatureSubset, SelectionTrace]:
     """Search the subset space for the best CFS merit with a bat swarm.
 
-    Each bat flies by frequency-tuned velocity updates relative to the best
-    solution found so far; with probability (1 - pulse rate) its candidate is
-    instead a random walk around that best solution, scaled by the swarm's
-    mean loudness. The best solution enters both updates through its canonical
-    anchor encoding (see subset_anchor). Candidates are binarized
-    stochastically and scored with cfs_merit; a bat archives a candidate when
-    the merit does not drop and a uniform draw stays under its loudness, which
-    then decays while the pulse rate grows. The global best updates on strict
-    improvement (ties prefer fewer features, then the lexicographically
-    smaller mask). Deterministic given the seed.
+    The swarm lives in arrays with one row per bat. Each bat flies by
+    frequency-tuned velocity updates (f = f_min + (f_max - f_min) beta,
+    v += (x - x_best) f, x = clip(x + v)) relative to the best solution, which
+    enters as its anchor encoding: +ANCHOR_SCALE for selected features,
+    -ANCHOR_SCALE otherwise, so its bit-flip probabilities under the sigmoid
+    stay away from saturation. With probability (1 - pulse rate) the candidate
+    is instead a random walk around that anchor, scaled by the swarm's mean
+    loudness. Candidates are binarized stochastically and scored with
+    cfs_merit; a bat archives a candidate when the merit does not drop and a
+    uniform draw stays under its loudness, which then decays while the pulse
+    rate grows. The global best updates on strict improvement (ties prefer
+    fewer features, then the lexicographically smaller mask). Deterministic
+    given the seed.
     """
     config = config or BatSwarmConfig()
     config.validate()
@@ -311,61 +263,46 @@ def cfs_ba_select(ds: Dataset, config: BatSwarmConfig | None = None,
     rng = np.random.default_rng(config.seed)
     n = config.n_bats
 
-    positions = rng.uniform(*config.position_range, size=(n, d))
-    loudness = rng.uniform(*config.loudness_range, size=n)
-    initial_rates = rng.uniform(*config.pulse_rate_range, size=n)
+    positions = rng.uniform(*POSITION_RANGE, size=(n, d))
+    velocities = np.zeros((n, d))
+    loudness = rng.uniform(*LOUDNESS_RANGE, size=n)
+    initial_rates = rng.uniform(*PULSE_RATE_RANGE, size=n)
+    pulse_rates = np.zeros(n)
+    fitness = np.empty(n)
 
-    evaluations = 0
-    bats: list[Bat] = []
     best_merit = -math.inf
     best_subset = None
     for i in range(n):
         subset = binarize(positions[i], rng.random(d), guard)
-        merit = cfs_merit(subset, cache)
-        evaluations += 1
-        bats.append(
-            Bat(
-                position=positions[i],
-                velocity=np.zeros(d),
-                frequency=0.0,
-                loudness=float(loudness[i]),
-                pulse_rate=0.0,
-                initial_pulse_rate=float(initial_rates[i]),
-                best_fitness=merit,
-                best_subset=subset,
-            )
-        )
+        fitness[i] = merit = cfs_merit(subset, cache)
         if best_subset is None or _improves(merit, subset, best_merit, best_subset):
             best_merit, best_subset = merit, subset
 
     trace = [best_merit]
     for t in range(1, config.max_iterations + 1):
-        mean_loudness = float(np.mean([b.loudness for b in bats]))
-        best_position = subset_anchor(best_subset, config.anchor_scale)
-        for i, bat in enumerate(bats):
-            bat = bat_step(bat, best_position, rng.random(),
-                           config.f_min, config.f_max, config.position_clamp)
-            candidate = bat.position
-            if bat.pulse_rate < rng.random():
-                epsilon = rng.uniform(-1.0, 1.0, d)
-                candidate = local_walk(best_position, epsilon, mean_loudness,
-                                       config.position_clamp)
+        mean_loudness = float(loudness.mean())
+        best_position = ANCHOR_SCALE * (2.0 * best_subset.mask.astype(np.float64) - 1.0)
+        for i in range(n):
+            freq = config.f_min + (config.f_max - config.f_min) * rng.random()
+            velocities[i] += (positions[i] - best_position) * freq
+            positions[i] = np.clip(positions[i] + velocities[i], -POSITION_CLAMP, POSITION_CLAMP)
+            candidate = positions[i]
+            if pulse_rates[i] < rng.random():
+                candidate = local_walk(best_position, rng.uniform(-1.0, 1.0, d), mean_loudness)
             subset = binarize(candidate, rng.random(d), guard)
             merit = cfs_merit(subset, cache)
-            evaluations += 1
-            if merit >= bat.best_fitness and rng.random() < bat.loudness:
-                bat = replace(bat, best_fitness=merit, best_subset=subset)
-                bat = update_loudness_rate(bat, config.alpha, config.gamma, t)
-            bats[i] = bat
+            if merit >= fitness[i] and rng.random() < loudness[i]:
+                fitness[i] = merit
+                loudness[i] *= config.alpha
+                pulse_rates[i] = initial_rates[i] * (1.0 - math.exp(-config.gamma * t))
             if _improves(merit, subset, best_merit, best_subset):
                 best_merit, best_subset = merit, subset
         trace.append(best_merit)
 
-    seconds = time.perf_counter() - start
     return best_subset, SelectionTrace(
         best_merit_per_iteration=tuple(trace),
-        evaluations=evaluations,
-        seconds=seconds,
+        evaluations=n * (config.max_iterations + 1),
+        seconds=time.perf_counter() - start,
     )
 
 

@@ -323,4 +323,6 @@ def load_metric_table(path):
                 values[i, j] = float(tok)
             except ValueError:
                 raise InputError(f"non-numeric cell {tok!r} in metric table row {i + 1}") from None
+            if not math.isfinite(values[i, j]):
+                raise InputError(f"non-finite cell {tok!r} in metric table row {i + 1}")
     return values, algorithms, datasets

@@ -84,8 +84,8 @@ class TreeParams:
             raise InputError("min_leaf must be at least 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise InputError("max_depth must be at least 1 when set")
-        if self.min_gain < 0:
-            raise InputError("min_gain must be non-negative")
+        if not (self.min_gain >= 0 and math.isfinite(self.min_gain)):
+            raise InputError("min_gain must be finite and non-negative")
 
 
 @dataclass
@@ -408,8 +408,8 @@ def weight_range(level: int, rho: float) -> tuple[float, float]:
     (0, e^(-1)] at the root, (e^(-1/(level-1)) + rho, e^(-1/level)] below it."""
     if level < 1:
         raise InputError("level must be at least 1")
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    if not (rho > 0 and math.isfinite(rho)):
+        raise InputError("rho must be finite and positive")
     if level == 1:
         return 0.0, math.exp(-1.0)
     return math.exp(-1.0 / (level - 1)) + rho, math.exp(-1.0 / level)
@@ -451,8 +451,8 @@ def forest_pa_fit(ds: Dataset, rows=None, n_trees: int = 100,
     """
     if n_trees < 1:
         raise InputError("need at least one tree")
-    if rho <= 0:
-        raise InputError("rho must be positive")
+    if not (rho > 0 and math.isfinite(rho)):
+        raise InputError("rho must be finite and positive")
     params = params or TreeParams()
     rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
     if rows.size == 0:

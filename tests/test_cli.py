@@ -281,6 +281,44 @@ class TestEvaluate:
         assert report["config"]["classifiers"] == ["c45"]
 
 
+    def test_swarm_flags_match_config_keys(self, artifact_dir, tmp_path):
+        swarm = {"n-bats": "5", "iterations": "4", "alpha": "0.5", "gamma": "2",
+                 "f-min": "0.5", "f-max": "3"}
+        config = tmp_path / "swarm.conf"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in swarm.items()),
+                          encoding="utf-8")
+        flags = [arg for k, v in swarm.items() for arg in (f"--{k}", v)]
+        reports = []
+        for name, extra in (("flags", flags), ("config", ["--config", str(config)])):
+            out = str(tmp_path / name)
+            assert main(["evaluate", "--input", artifact_dir, "--selector", "cfs-ba",
+                         *extra, "--classifiers", "c45", "--k", "3", "--seed", "2",
+                         "--out", out]) == 0
+            reports.append(without_run_varying(read_json(os.path.join(out, "report.json"))))
+        assert reports[0]["selection"]["evaluations"] == 5 * (4 + 1)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--classifiers", "forest_pa", "--rho", "nan"], "rho must be finite"),
+        (["evaluate", "--classifiers", "c45", "--rho", "inf"], "rho must be finite"),
+        (["evaluate", "--classifiers", "c45", "--min-gain", "nan"], "min_gain must be finite"),
+        (["evaluate", "--classifiers", "c45", "--min-gain", "inf"], "min_gain must be finite"),
+        (["select", "--selector", "cfs-ba", "--f-max", "nan"], "must be finite"),
+        (["select", "--selector", "cfs-ba", "--f-min=-inf"], "must be finite"),
+        (["evaluate", "--selector", "cfs-ba", "--gamma", "inf"], "must be finite"),
+        (["evaluate", "--selector", "cfs-ba", "--alpha", "nan"], "alpha must lie in"),
+    ])
+    def test_non_finite_parameter_exit_code(self, artifact_dir, tmp_path, capsys,
+                                            argv, message):
+        command, *flags = argv
+        extra = ["--k", "3", "--n-trees", "2"] if command == "evaluate" else []
+        out = tmp_path / "out"
+        assert main([command, "--input", artifact_dir, *flags, *extra,
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReproducibility:
     def test_full_run_repeats_byte_for_byte(self, tmp_path, monkeypatch, capsys):
         csv_path = write_toy_csv(tmp_path)
@@ -352,6 +390,22 @@ class TestStats:
         assert payload["friedman"]["p_value"] == 1.0
 
 
+    @pytest.mark.parametrize("mode, table, row", [
+        ([], "dataset,a,b\nD1,0.9,0.8\nD2,0.7,-inf\n", 2),
+        (["--ranks"], "a,b,c\n1,2,3\nnan,1,2\n", 2),
+        (["--mean-ranks", "--n-datasets", "3"], "a,b,c\n1,nan,2\n", 1),
+        (["--mean-ranks", "--n-datasets", "3"], "a,b,c\n1,inf,2\n", 1),
+    ])
+    def test_non_finite_cell_exit_code(self, tmp_path, capsys, mode, table, row):
+        path = tmp_path / "table.csv"
+        path.write_text(table, encoding="utf-8")
+        out = tmp_path / "stats"
+        assert main(["stats", "--input", str(path), *mode, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite cell" in err and err.rstrip().endswith(f"row {row}")
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -410,7 +464,36 @@ def fuzz_tables(draw):
     return [names] + rows, label
 
 
+# Metric table cells: non-finite and blank spellings, numbers, text.
+STATS_CELLS = ("", "nan", "NaN", "inf", "-inf", "0", "1", "2", "2.5", "-3", "1e308",
+               "x", "D1")
+STATS_MODES = ([], ["--ranks"], ["--mean-ranks", "--n-datasets", "3"])
+
+
+@st.composite
+def metric_tables(draw):
+    """Small metric tables, some with ragged rows (one cell short or over)."""
+    n_columns = draw(st.integers(min_value=1, max_value=5))
+    header = [draw(st.sampled_from(("a", "b", "c", "", "dataset")))
+              for _ in range(n_columns)]
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        width = n_columns + draw(st.sampled_from((0, 0, 0, -1, 1)))
+        rows.append([draw(st.sampled_from(STATS_CELLS)) for _ in range(width)])
+    return [header] + rows
+
+
 class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(table=metric_tables(), mode=st.sampled_from(STATS_MODES))
+    def test_stats_exits_zero_or_two(self, table, mode):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "table.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(table)
+            assert main(["stats", "--input", path, *mode,
+                         "--out", os.path.join(work, "stats")]) in (0, 2)
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(table=fuzz_tables(),

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,13 +9,12 @@ from hypothesis import strategies as st
 
 from idsforge.dataset import normalize
 from idsforge.errors import InputError
-from idsforge.featsel import (Bat, BatSwarmConfig, CorrelationCache,
-                              FeatureSubset, _bin_column, bat_step, binarize,
-                              build_correlation_cache, cfs_ba_select,
-                              cfs_merit, exhaustive_best_subset, ig_rank,
-                              igr_rank, local_walk, update_loudness_rate)
+from idsforge.featsel import (BatSwarmConfig, CorrelationCache, FeatureSubset,
+                              _bin_column, binarize, build_correlation_cache,
+                              cfs_ba_select, cfs_merit, exhaustive_best_subset,
+                              ig_rank, igr_rank, local_walk)
 
-from conftest import make_dataset, make_leak_dataset, make_search_dataset
+from conftest import DATA_DIR, make_dataset, make_leak_dataset, make_search_dataset
 
 
 def make_cache(feature_class, feature_feature):
@@ -22,21 +23,6 @@ def make_cache(feature_class, feature_feature):
         feature_feature=np.asarray(feature_feature, dtype=float),
         bins=10,
     )
-
-
-def make_bat(d=3, **kw):
-    defaults = dict(
-        position=np.zeros(d),
-        velocity=np.zeros(d),
-        frequency=0.0,
-        loudness=1.0,
-        pulse_rate=0.0,
-        initial_pulse_rate=0.5,
-        best_fitness=0.0,
-        best_subset=FeatureSubset.from_indices([0], d),
-    )
-    defaults.update(kw)
-    return Bat(**defaults)
 
 
 def oracle_entropy(codes):
@@ -224,30 +210,6 @@ class TestBinarize:
         assert subset.k >= 1
 
 
-class TestBatStep:
-    def test_beta_zero_gives_f_min(self):
-        bat = make_bat(position=np.array([1.0]), velocity=np.array([0.5]))
-        out = bat_step(bat, np.array([0.0]), beta=0.0, f_min=0.25, f_max=2.0)
-        assert out.frequency == pytest.approx(0.25)
-
-    def test_at_best_velocity_unchanged(self):
-        bat = make_bat(position=np.array([1.0, -2.0]), velocity=np.array([0.3, 0.4]))
-        out = bat_step(bat, bat.position, beta=0.7, f_min=0.0, f_max=2.0)
-        assert np.allclose(out.velocity, bat.velocity)
-
-    def test_hand_worked_update(self):
-        bat = make_bat(d=1, position=np.array([0.5]), velocity=np.array([0.0]))
-        out = bat_step(bat, np.array([1.0]), beta=0.5, f_min=0.0, f_max=2.0)
-        assert out.frequency == pytest.approx(1.0)
-        assert out.velocity[0] == pytest.approx(-0.5)
-        assert out.position[0] == pytest.approx(0.0)
-
-    def test_clamped(self):
-        bat = make_bat(d=1, position=np.array([5.0]), velocity=np.array([10.0]))
-        out = bat_step(bat, np.array([0.0]), beta=1.0, f_min=0.0, f_max=2.0)
-        assert out.position[0] == 6.0
-
-
 class TestLocalWalk:
     def test_zero_epsilon(self):
         pos = np.array([1.0, -0.5])
@@ -260,21 +222,6 @@ class TestLocalWalk:
     def test_scaled_step(self):
         out = local_walk(np.array([1.0]), np.array([0.5]), 0.8)
         assert out[0] == pytest.approx(1.4)
-
-
-class TestLoudnessRate:
-    def test_loudness_decay(self):
-        bat = make_bat(loudness=1.0)
-        assert update_loudness_rate(bat, 0.9, 0.9, t=1).loudness == pytest.approx(0.9)
-
-    def test_rate_zero_at_t0(self):
-        bat = make_bat(initial_pulse_rate=0.8, pulse_rate=0.5)
-        assert update_loudness_rate(bat, 0.9, 0.9, t=0).pulse_rate == 0.0
-
-    def test_rate_limit(self):
-        bat = make_bat(initial_pulse_rate=0.8)
-        out = update_loudness_rate(bat, 0.9, 50.0, t=100)
-        assert out.pulse_rate == pytest.approx(0.8)
 
 
 class TestCfsBaSelect:
@@ -309,6 +256,56 @@ class TestCfsBaSelect:
         ds = make_dataset([[0.0], [1.0], [0.5], [0.25]], [0, 1, 0, 1])
         with pytest.raises(InputError):
             cfs_ba_select(ds)
+
+
+GOLDEN_DATASETS = {
+    **{f"search{s}": (lambda s=s: make_search_dataset(s)) for s in range(2, 6)},
+    "leak": lambda: normalize(make_leak_dataset(seed=4, n=200, d=6, classes=2)),
+}
+# "wide" pushes velocities past the position clamp and saturates the pulse rate
+GOLDEN_CONFIGS = {
+    "default": dict(max_iterations=10),
+    "full": {},
+    "wide": dict(n_bats=8, f_min=0.5, f_max=5.0, alpha=0.5, gamma=50.0, max_iterations=20),
+}
+
+
+def golden_cases():
+    """Every seed 0-24 under 'default' and 'wide'; seed 0 only under 'full'
+    (100 iterations of 30 bats)."""
+    for name in GOLDEN_DATASETS:
+        for config in ("default", "wide"):
+            for seed in range(25):
+                yield name, config, seed
+        yield name, "full", 0
+
+
+def golden_run(name, config, seed, ds):
+    """A swarm run as stored in tests/data/cfs_ba_golden.json: selected indices,
+    the merit trace as [merit, repeats] runs, and the evaluation count."""
+    subset, trace = cfs_ba_select(ds, BatSwarmConfig(seed=seed, **GOLDEN_CONFIGS[config]))
+    runs = []
+    for merit in trace.best_merit_per_iteration:
+        if runs and runs[-1][0] == merit:
+            runs[-1][1] += 1
+        else:
+            runs.append([merit, 1])
+    return {"selected": [int(i) for i in subset.indices], "trace": runs,
+            "evaluations": trace.evaluations}
+
+
+class TestCfsBaGolden:
+    """The swarm's subsets, exact merit traces and evaluation counts, recorded
+    from the per-bat implementation that the array swarm replaced."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN_DATASETS))
+    def test_matches_recorded_runs(self, name):
+        with open(os.path.join(DATA_DIR, "cfs_ba_golden.json"), encoding="utf-8") as fh:
+            golden = json.load(fh)
+        ds = GOLDEN_DATASETS[name]()
+        for case in golden_cases():
+            if case[0] == name:
+                assert golden_run(*case, ds) == golden["/".join(map(str, case))], case
 
 
 class TestFilterRankings:

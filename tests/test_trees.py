@@ -308,6 +308,14 @@ class TestForestPA:
             assert hi > lo
             prev_hi = hi
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -1e-4])
+    def test_rho_must_be_finite_and_positive(self, rho):
+        ds = make_blobs(seed=6, n=40, d=3)
+        with pytest.raises(InputError, match="rho must be finite and positive"):
+            weight_range(2, rho)
+        with pytest.raises(InputError, match="rho must be finite and positive"):
+            forest_pa_fit(ds, n_trees=1, rho=rho)
+
     def test_increment_formula(self):
         assert weight_increment(0.4, height=3, level=2) == pytest.approx(0.3)
 
