@@ -346,6 +346,7 @@ def selection_report(subset: FeatureSubset, trace: SelectionTrace, ds: Dataset) 
         "selected": indices,
         "names": [ds.feature_meta[i].name for i in indices],
         "merit": trace.best_merit,
+        "best_merit_per_iteration": [float(m) for m in trace.best_merit_per_iteration],
         "iterations": len(trace.best_merit_per_iteration) - 1,
         "evaluations": trace.evaluations,
         "seconds": trace.seconds,

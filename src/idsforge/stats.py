@@ -17,6 +17,10 @@ from .errors import InputError
 
 ALPHAS = (0.05, 0.1)
 
+# How far a given mean rank may sit outside [1, k], the range every mean of
+# ranks 1..k lies in; allows for ranks published as rounded or truncated values.
+MEAN_RANK_TOLERANCE = 0.01
+
 # Critical values of the studentized range statistic divided by sqrt(2), for
 # comparing k algorithms at the given significance level.
 Q_CRITICAL = {
@@ -214,8 +218,9 @@ def friedman_from_mean_ranks(mean_ranks, n: int) -> FriedmanResult:
 
     chi2 = 12n / (k(k+1)) * (sum R_j^2 - k(k+1)^2 / 4) and
     F = (n-1) chi2 / (n(k-1) - chi2); a zero denominator (perfectly
-    consistent rankings) reports F = +inf with p = 0. Mean ranks are taken as
-    given, so rounded published values are acceptable here.
+    consistent rankings) reports F = +inf with p = 0. Rounded published mean
+    ranks are accepted, but each must lie in [1, k] within
+    MEAN_RANK_TOLERANCE.
     """
     mean_ranks = np.asarray(mean_ranks, dtype=np.float64)
     k = mean_ranks.size
@@ -223,6 +228,11 @@ def friedman_from_mean_ranks(mean_ranks, n: int) -> FriedmanResult:
         raise InputError("need at least 2 algorithms")
     if n < 2:
         raise InputError("need at least 2 datasets")
+    in_range = ((mean_ranks >= 1 - MEAN_RANK_TOLERANCE)
+                & (mean_ranks <= k + MEAN_RANK_TOLERANCE))
+    if not in_range.all():
+        bad = float(mean_ranks[~in_range][0])
+        raise InputError(f"mean rank {bad!r} is outside [1, {k}] for {k} algorithms")
     chi2 = 12.0 * n / (k * (k + 1)) * float((mean_ranks ** 2).sum() - k * (k + 1) ** 2 / 4.0)
     chi2 = max(chi2, 0.0)
     df1 = k - 1

@@ -22,11 +22,6 @@ from .errors import InputError
 MODEL_FORMAT = "idsforge-model"
 MODEL_VERSION = 1
 
-# Feature count above which the split sweep processes features in chunks to
-# bound the (rows x features x classes) temporaries.
-_SWEEP_CHUNK_ELEMENTS = 16_000_000
-
-
 def entropy(counts) -> float:
     """Shannon entropy in bits of a count vector, with 0 log 0 = 0."""
     c = np.asarray(counts, dtype=np.float64)
@@ -163,78 +158,104 @@ class Forest:
 
 
 def _entropy_of_count_rows(counts, totals):
-    # H = log2(N) - sum(c log2 c) / N over the last axis, 0 log 0 = 0.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(counts > 0, counts * np.log2(np.where(counts > 0, counts, 1.0)), 0.0)
+    # H = log2(N) - sum(c log2 c) / N over the last axis; 0 log 0 = 0 log 1 = 0.
+    term = counts * np.log2(np.maximum(counts, 1.0))
     return np.log2(totals) - term.sum(axis=-1) / totals
 
 
-def _best_split(X, onehot, feature_ids, weights, min_leaf):
-    """Best (feature, threshold, weighted gain ratio) over midpoint candidates.
+def _value_codes(ds, rows):
+    """Each feature's sorted distinct values over the rows, concatenated into
+    one array, and per row the index of its value there (its value code).
 
-    Returns None when no candidate satisfies min_leaf on both sides. Ties pick
-    the lowest feature index, then the lowest threshold.
+    A feature's codes follow those of the features before it, so a code names
+    one (feature, value) slot, and within a feature codes sort like values.
     """
-    n = X.shape[0]
-    parent_counts = onehot.sum(axis=0)
-    h_parent = float(_entropy_of_count_rows(parent_counts, float(n)))
+    n, d = rows.size, ds.n_features
+    # the split search's keys, code * n_classes + class, must fit the dtype
+    codes = np.empty((n, d), dtype=np.int32 if n * d * ds.n_classes < 2**31 else np.int64)
+    values = []
+    offset = 0
+    for j in range(d):
+        distinct, inverse = np.unique(ds.features[rows, j], return_inverse=True)
+        codes[:, j] = inverse + offset
+        values.append(distinct)
+        offset += distinct.size
+    return codes, np.concatenate([np.empty(0), *values])
 
-    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+
+def _best_split(codes, y, feature_ids, weights, min_leaf, values, n_classes):
+    """Best (feature, threshold, weighted gain ratio) at a node.
+
+    codes and y are the node's rows (see _value_codes); feature_ids lists the
+    candidate features in ascending order. Every distinct value present at
+    the node except a feature's largest is scored once, with the threshold
+    at the midpoint to the next present value. Returns None when no
+    candidate satisfies min_leaf on both sides. Ties pick the lowest feature
+    index, then the lowest threshold.
+    """
+    n = codes.shape[0]
+    c = n_classes
+    if len(feature_ids) == 0:
+        return None
+
+    # Sort the node's (slot, class) keys: each run of equal keys counts the
+    # rows of one pair, and the pairs come in (feature, value, class) order.
+    keys = np.take(codes, feature_ids, axis=1)
+    keys *= c
+    keys += y[:, None]
+    keys = keys.ravel()
+    keys.sort()
+    run_end = np.append(np.flatnonzero(keys[1:] != keys[:-1]), keys.size - 1)
+    slots, classes = np.divmod(keys[run_end], c)
+    slot_end = np.append(slots[1:] != slots[:-1], True)
+    present = slots[slot_end]
+    slot_of_pair = np.cumsum(slot_end) - slot_end
+    table = np.bincount(slot_of_pair * c + classes, weights=np.diff(run_end, prepend=-1),
+                        minlength=present.size * c).reshape(-1, c)
+
+    # Every candidate feature's slots partition the same n rows, so running
+    # totals over all slots, less `rank` whole nodes, count the rows left of
+    # each value within its own feature; a feature's last value leaves none.
+    through = run_end[slot_end] + 1
+    rank = (through - 1) // n
+    left_n = through - rank * n
+    valid = np.flatnonzero((left_n >= min_leaf) & (n - left_n >= min_leaf))
+    if valid.size == 0:
+        return None
+    parent_counts = np.bincount(y, minlength=c).astype(np.float64)
+    left = np.cumsum(table, axis=0)[valid] - rank[valid, None] * parent_counts
+    left_n = left_n[valid].astype(np.float64)
     right_n = n - left_n
-    size_ok = (left_n >= min_leaf) & (right_n >= min_leaf)
+    # one entropy pass over the parent, then every left side, then every right side
+    h = _entropy_of_count_rows(np.vstack([parent_counts, left, parent_counts - left]),
+                               np.concatenate([[float(n)], left_n, right_n]))
+    h_left, h_right = h[1:valid.size + 1], h[valid.size + 1:]
     pl = left_n / n
     pr = right_n / n
     info = -(pl * np.log2(pl) + pr * np.log2(pr))
-
-    best_score = -math.inf
-    best_feature = None
-    best_threshold = None
-
-    c = onehot.shape[1]
-    chunk_size = max(1, _SWEEP_CHUNK_ELEMENTS // max(1, n * c))
-    for start in range(0, len(feature_ids), chunk_size):
-        chunk = feature_ids[start:start + chunk_size]
-        cols = X[:, chunk]
-        order = np.argsort(cols, axis=0, kind="stable")
-        sorted_vals = np.take_along_axis(cols, order, axis=0)
-        cum = np.cumsum(onehot[order], axis=0)[:-1]  # (n-1, m, c) left counts
-        boundary = sorted_vals[1:] != sorted_vals[:-1]
-        valid = boundary & size_ok
-        if not valid.any():
-            continue
-        h_left = _entropy_of_count_rows(cum, left_n)
-        h_right = _entropy_of_count_rows(parent_counts[None, None, :] - cum, right_n)
-        gain = h_parent - pl * h_left - pr * h_right
-        ratio = np.where(gain > 0, gain / info, 0.0)
-        if weights is not None:
-            ratio = ratio * weights[chunk][None, :]
-        ratio = np.where(valid, ratio, -np.inf)
-        flat = ratio.T.reshape(-1)  # feature-major so argmax ties prefer low index
-        pos = int(np.argmax(flat))
-        score = float(flat[pos])
-        if score > best_score:
-            f_local, boundary_i = divmod(pos, n - 1)
-            best_score = score
-            best_feature = int(chunk[f_local])
-            best_threshold = float(
-                (sorted_vals[boundary_i, f_local] + sorted_vals[boundary_i + 1, f_local]) / 2.0
-            )
-    if best_feature is None:
-        return None
-    return best_feature, best_threshold, best_score
+    gain = float(h[0]) - pl * h_left - pr * h_right
+    ratio = np.where(gain > 0, gain / info, 0.0)
+    features = feature_ids[rank[valid]]
+    if weights is not None:
+        ratio = ratio * weights[features]
+    best = int(np.argmax(ratio))
+    slot = valid[best]
+    threshold = float((values[present[slot]] + values[present[slot + 1]]) / 2.0)
+    return int(features[best]), threshold, float(ratio[best])
 
 
-def _grow(X, onehot, params, weights, feature_sample, rng, tested):
+def _grow(codes, y, values, n_classes, params, weights, feature_sample, rng, tested):
     """Iterative preorder construction (node, left subtree, right subtree), so
     per-node rng draws happen in the same order a recursive build would make
     and arbitrarily deep trees stay off the Python stack."""
-    d = X.shape[1]
+    d = codes.shape[1]
+    c = n_classes
     holder = TreeNode(depth=-1)  # temporary parent for the root
-    work = [(X, onehot, 0, holder, "left")]
+    work = [(codes, y, 0, holder, "left")]
     while work:
-        X_node, oh_node, depth, parent, slot = work.pop()
-        n, c = oh_node.shape
-        counts = oh_node.sum(axis=0)
+        codes_node, y_node, depth, parent, slot = work.pop()
+        n = y_node.size
+        counts = np.bincount(y_node, minlength=c)
 
         split = None
         depth_ok = params.max_depth is None or depth < params.max_depth
@@ -243,7 +264,8 @@ def _grow(X, onehot, params, weights, feature_sample, rng, tested):
                 candidates = np.sort(rng.choice(d, size=feature_sample, replace=False))
             else:
                 candidates = np.arange(d)
-            best = _best_split(X_node, oh_node, candidates, weights, params.min_leaf)
+            best = _best_split(codes_node, y_node, candidates, weights, params.min_leaf,
+                               values, c)
             if best is not None and best[2] >= params.min_gain:
                 split = best
 
@@ -258,25 +280,28 @@ def _grow(X, onehot, params, weights, feature_sample, rng, tested):
             tested[feat] = level
         node = TreeNode(depth=depth, split_feature=feat, threshold=threshold)
         setattr(parent, slot, node)
-        go_left = X_node[:, feat] <= threshold
+        # compare values, as prediction does: a midpoint can round onto the upper value
+        go_left = values[codes_node[:, feat]] <= threshold
         # right pushed first so the left subtree is built first
-        work.append((X_node[~go_left], oh_node[~go_left], depth + 1, node, "right"))
-        work.append((X_node[go_left], oh_node[go_left], depth + 1, node, "left"))
+        work.append((codes_node[~go_left], y_node[~go_left], depth + 1, node, "right"))
+        work.append((codes_node[go_left], y_node[go_left], depth + 1, node, "left"))
     return holder.left
 
 
-def _fit_tree(ds, rows, params, weights, feature_sample, rng):
+def _checked_rows(ds, rows, what):
     rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
-        raise InputError("cannot fit a tree on zero rows")
-    X = ds.features[rows]
-    y = ds.labels[rows]
-    c = ds.n_classes
-    onehot = np.zeros((rows.size, c), dtype=np.float64)
-    onehot[np.arange(rows.size), y] = 1.0
+        raise InputError(f"cannot fit a {what} on zero rows")
+    return rows
+
+
+def _fit_tree(ds, codes, values, labels, params, weights, feature_sample, rng):
+    """Grow one tree on the rows whose value codes and labels are given."""
     tested: dict[int, int] = {}
-    root = _grow(X, onehot, params, weights, feature_sample, rng, tested)
-    tree = DecisionTree(root=root, n_features=ds.n_features, n_classes=c, params=params)
+    root = _grow(codes, labels.astype(codes.dtype), values, ds.n_classes, params, weights,
+                 feature_sample, rng, tested)
+    tree = DecisionTree(root=root, n_features=ds.n_features, n_classes=ds.n_classes,
+                        params=params)
     return tree, tested
 
 
@@ -300,7 +325,9 @@ def c45_fit(ds: Dataset, rows=None, params: TreeParams | None = None,
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (ds.n_features,):
             raise InputError("weights length must equal the feature count")
-    tree, _ = _fit_tree(ds, rows, params, weights, feature_sample, rng)
+    rows = _checked_rows(ds, rows, "tree")
+    codes, values = _value_codes(ds, rows)
+    tree, _ = _fit_tree(ds, codes, values, ds.labels[rows], params, weights, feature_sample, rng)
     return tree
 
 
@@ -363,18 +390,19 @@ def rf_fit(ds: Dataset, rows=None, n_trees: int = 100,
     if n_trees < 1:
         raise InputError("need at least one tree")
     params = params or TreeParams()
-    rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise InputError("cannot fit a forest on zero rows")
+    rows = _checked_rows(ds, rows, "forest")
     n = rows.size
     subspace = math.ceil(math.sqrt(ds.n_features))
+    codes, values = _value_codes(ds, rows)
+    labels = ds.labels[rows]
 
     def build(t: int):
         tree_seed = _tree_seed(seed, t)
         rng = np.random.default_rng(tree_seed)
         positions = rng.integers(0, n, n)
         inbag = np.bincount(positions, minlength=n) > 0
-        tree, _ = _fit_tree(ds, rows[positions], params, None, subspace, rng)
+        tree, _ = _fit_tree(ds, codes[positions], values, labels[positions], params, None,
+                            subspace, rng)
         return tree_seed, tree, inbag
 
     if threads > 1:
@@ -454,11 +482,11 @@ def forest_pa_fit(ds: Dataset, rows=None, n_trees: int = 100,
     if not (rho > 0 and math.isfinite(rho)):
         raise InputError("rho must be finite and positive")
     params = params or TreeParams()
-    rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise InputError("cannot fit a forest on zero rows")
+    rows = _checked_rows(ds, rows, "forest")
     n = rows.size
     d = ds.n_features
+    codes, values = _value_codes(ds, rows)
+    labels = ds.labels[rows]
     state = AttributeWeights.fresh(d)
     level_cap = _max_valid_level(rho)
 
@@ -468,7 +496,8 @@ def forest_pa_fit(ds: Dataset, rows=None, n_trees: int = 100,
         tree_seed = _tree_seed(seed, t)
         rng = np.random.default_rng(tree_seed)
         positions = rng.integers(0, n, n)
-        tree, tested = _fit_tree(ds, rows[positions], params, state.weights, None, rng)
+        tree, tested = _fit_tree(ds, codes[positions], values, labels[positions], params,
+                                 state.weights, None, rng)
         seeds.append(tree_seed)
         trees.append(tree)
 

@@ -52,6 +52,26 @@ def make_blobs(seed, n=500, d=10, informative=2, spread=0.08):
     return make_dataset(feats, labels, class_names=["normal", "attack"])
 
 
+def make_tied_dataset(seed, n=300, classes=4):
+    """Tree-growing table full of ties: five grid-valued columns (3 to 9
+    levels, two of them tracking the label) and a constant column, with
+    every class present and one label in twenty redrawn at random."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(n) % classes)
+    levels = (3, 5, 9, 4, 6)
+    feats = np.empty((n, len(levels) + 1))
+    for j, k in enumerate(levels):
+        if j < 2:
+            raw = labels * (k - 1) / max(classes - 1, 1) + rng.normal(0, 0.5, n)
+            feats[:, j] = np.clip(np.rint(raw), 0, k - 1) / (k - 1)
+        else:
+            feats[:, j] = rng.integers(0, k, n) / (k - 1)
+    feats[:, -1] = 0.5
+    flip = rng.random(n) < 0.05
+    labels = np.where(flip, rng.integers(0, classes, n), labels)
+    return make_dataset(feats, labels)
+
+
 def make_leak_dataset(seed, n=120, d=5, classes=3):
     """Feature 0 is the label itself; everything else is noise."""
     rng = np.random.default_rng(seed)

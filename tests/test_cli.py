@@ -166,6 +166,9 @@ class TestSelect:
         payload = read_json(os.path.join(out, "subset.json"))
         assert 0 in payload["selected"]
         assert payload["merit"] > 0.9
+        trace = payload["best_merit_per_iteration"]
+        assert len(trace) == payload["iterations"] + 1 == 31
+        assert trace == sorted(trace) and trace[-1] == payload["merit"]
         txt = read_text(os.path.join(out, "subset.txt")).strip()
         assert txt == ",".join(str(i) for i in payload["selected"])
 
@@ -403,6 +406,17 @@ class TestStats:
         assert main(["stats", "--input", str(path), *mode, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "non-finite cell" in err and err.rstrip().endswith(f"row {row}")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("row, bad", [("1,7,-2", "7.0"), ("1,1e308,2", "1e+308")])
+    def test_out_of_range_mean_rank_exit_code(self, tmp_path, capsys, row, bad):
+        path = tmp_path / "table.csv"
+        path.write_text(f"a,b,c\n{row}\n", encoding="utf-8")
+        out = tmp_path / "stats"
+        assert main(["stats", "--input", str(path), "--mean-ranks", "--n-datasets", "3",
+                     "--out", str(out)]) == 2
+        assert f"mean rank {bad} is outside [1, 3]" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -121,6 +121,16 @@ class TestFriedman:
         assert result.p_value == pytest.approx(0.1839, abs=0.002)
         assert not result.reject_at[0.05] and not result.reject_at[0.1]
 
+    @pytest.mark.parametrize("ranks", [[1.0, 7.0, -2.0], [1.0, 1e308, 2.0],
+                                       [0.98, 2.0, 3.0], [1.0, 2.0, 3.02]])
+    def test_mean_rank_outside_one_to_k_rejected(self, ranks):
+        with pytest.raises(InputError, match="outside"):
+            friedman_from_mean_ranks(ranks, n=3)
+
+    def test_rounded_mean_ranks_at_the_edges_accepted(self):
+        result = friedman_from_mean_ranks([0.995, 2.0, 3.005], n=3)
+        assert result.chi2_f == pytest.approx(6.0, abs=0.1)
+
     def test_identical_rankings_give_zero(self):
         ranks = RankTable(
             algorithms=["a", "b", "c"],

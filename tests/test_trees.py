@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,14 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idsforge.errors import InputError
-from idsforge.trees import (DecisionTree, TreeNode, TreeParams, c45_fit,
+from idsforge.trees import (DecisionTree, TreeNode, TreeParams, _best_split,
+                            _value_codes, c45_fit,
                             entropy, forest_pa_fit, forest_predict,
                             forest_predict_batch, gain_ratio, load_model,
                             model_from_doc, model_to_doc, rf_fit, save_model,
                             split_info, tree_height, tree_predict,
                             tree_predict_batch, weight_increment, weight_range)
 
-from conftest import make_blobs, make_dataset
+from conftest import DATA_DIR, make_blobs, make_dataset, make_tied_dataset
 
 
 def brute_force_best_split(X, y, n_classes, min_leaf=1):
@@ -36,6 +38,79 @@ def brute_force_best_split(X, y, n_classes, min_leaf=1):
             if score > best[0]:
                 best = (score, f, thr)
     return best
+
+
+def oracle_entropy_of_count_rows(counts, totals):
+    # H = log2(N) - sum(c log2 c) / N over the last axis, 0 log 0 = 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.where(counts > 0, counts * np.log2(np.where(counts > 0, counts, 1.0)), 0.0)
+    return np.log2(totals) - term.sum(axis=-1) / totals
+
+
+def oracle_best_split(X, onehot, feature_ids, weights, min_leaf):
+    """The per-row sweep that the value-code search replaced: argsort every
+    candidate column and score a threshold at every row position, masking
+    positions that do not sit between two distinct values."""
+    n = X.shape[0]
+    parent_counts = onehot.sum(axis=0)
+    h_parent = float(oracle_entropy_of_count_rows(parent_counts, float(n)))
+    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    right_n = n - left_n
+    pl = left_n / n
+    pr = right_n / n
+    info = -(pl * np.log2(pl) + pr * np.log2(pr))
+    cols = X[:, feature_ids]
+    order = np.argsort(cols, axis=0, kind="stable")
+    sorted_vals = np.take_along_axis(cols, order, axis=0)
+    cum = np.cumsum(onehot[order], axis=0)[:-1]  # (n-1, m, c) left counts
+    valid = (sorted_vals[1:] != sorted_vals[:-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    if not valid.any():
+        return None
+    h_left = oracle_entropy_of_count_rows(cum, left_n)
+    h_right = oracle_entropy_of_count_rows(parent_counts[None, None, :] - cum, right_n)
+    gain = h_parent - pl * h_left - pr * h_right
+    ratio = np.where(gain > 0, gain / info, 0.0)
+    if weights is not None:
+        ratio = ratio * weights[feature_ids][None, :]
+    flat = np.where(valid, ratio, -np.inf).T.reshape(-1)  # feature-major: ties prefer low index
+    f_local, i = divmod(int(np.argmax(flat)), n - 1)
+    threshold = float((sorted_vals[i, f_local] + sorted_vals[i + 1, f_local]) / 2.0)
+    return int(feature_ids[f_local]), threshold, float(flat[f_local * (n - 1) + i])
+
+
+@st.composite
+def split_nodes(draw):
+    """A tie-heavy table, a bootstrap node drawn from it (duplicated rows),
+    sorted candidate features, attribute weights and min_leaf."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    c = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=c, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    levels = draw(st.lists(st.sampled_from([1, 2, 3, 5, 1000]), min_size=d, max_size=d))
+    feats = np.column_stack([rng.integers(0, k, n) / k for k in levels])
+    labels = np.concatenate([np.arange(c), rng.integers(0, c, n - c)])
+    ds = make_dataset(feats, labels)
+    positions = rng.integers(0, n, draw(st.integers(min_value=1, max_value=2 * n)))
+    m = draw(st.integers(min_value=1, max_value=d))
+    candidates = np.sort(rng.choice(d, size=m, replace=False))
+    weights = draw(st.sampled_from([None, "random", "equal"]))
+    if weights == "random":
+        weights = rng.random(d)
+    elif weights == "equal":
+        weights = np.full(d, 0.5)
+    return ds, positions, candidates, weights, draw(st.integers(min_value=1, max_value=4))
+
+
+def golden_models():
+    """The models pinned by tests/data/tree_golden.json: every learner on one
+    tie-heavy 3-class table with a constant column, at fixed seeds."""
+    ds = make_tied_dataset(seed=2, n=300, classes=3)
+    return {
+        "c45": c45_fit(ds),
+        "c45_full": c45_fit(ds, params=TreeParams(min_leaf=1, min_gain=0.0)),
+        "rf": rf_fit(ds, n_trees=3, seed=11),
+        "forest_pa": forest_pa_fit(ds, n_trees=3, seed=12),
+    }
 
 
 def oracle_leaf(tree, row):
@@ -126,6 +201,11 @@ class TestC45:
         assert tree.root.is_leaf
         assert np.argmax(tree.root.distribution) == 0
 
+    def test_no_features_gives_a_leaf(self):
+        ds = make_dataset(np.empty((4, 0)), [0, 1, 0, 1])
+        for tree in [c45_fit(ds)] + rf_fit(ds, n_trees=2).trees + forest_pa_fit(ds, n_trees=2).trees:
+            assert tree.root.is_leaf
+
     def test_xor_needs_depth_two(self):
         pts = [(0.0, 0.0, 0), (0.0, 1.0, 1), (1.0, 0.0, 1), (1.0, 1.0, 0)]
         rows = pts * 100
@@ -205,6 +285,43 @@ class TestC45:
             leaf = oracle_leaf(tree, row)
             leaves[id(leaf)] = leaves.get(id(leaf), 0) + 1
         assert min(leaves.values()) >= 5
+
+
+class TestSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(case=split_nodes())
+    def test_matches_row_sweep_oracle_bit_for_bit(self, case):
+        ds, positions, candidates, weights, min_leaf = case
+        codes, values = _value_codes(ds, np.arange(ds.n_rows))
+        y = ds.labels[positions]
+        got = _best_split(codes[positions], y.astype(codes.dtype), candidates, weights,
+                          min_leaf, values, ds.n_classes)
+        onehot = np.eye(ds.n_classes)[y]
+        want = oracle_best_split(ds.features[positions], onehot, candidates, weights, min_leaf)
+        assert repr(got) == repr(want)
+
+
+class TestGoldenModels:
+    """Model documents recorded from the per-row sweep that the value-code
+    split search replaced; the search must reproduce them byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        with open(os.path.join(DATA_DIR, "tree_golden.json"), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("name", ["c45", "c45_full", "rf", "forest_pa"])
+    def test_document_matches_recording(self, recorded, name):
+        doc = model_to_doc(golden_models()[name])
+        want = recorded[name]
+        trees_got = doc["trees"] if "trees" in doc else [doc]
+        trees_want = want["trees"] if "trees" in want else [want]
+        assert len(trees_got) == len(trees_want)
+        for t, (got, exp) in enumerate(zip(trees_got, trees_want)):
+            for i, (node, expected) in enumerate(zip(got["nodes"], exp["nodes"])):
+                assert node == expected, f"{name} tree {t} node {i}"
+            assert len(got["nodes"]) == len(exp["nodes"]), f"{name} tree {t}"
+        assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class TestTreePredict:
