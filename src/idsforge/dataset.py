@@ -389,7 +389,11 @@ def normalize(ds: Dataset) -> Dataset:
     if flat.size:
         name = ds.feature_meta[int(flat[0])].name
         raise InputError(f"feature {name!r} is constant and cannot be min-max scaled")
-    scaled = (ds.features - mins) / (maxs - mins)
+    # A range wider than the largest double (e.g. -1e308..1e308) overflows,
+    # so such a column is halved first; times 1, every other column keeps its bits.
+    with np.errstate(over="ignore"):
+        k = np.where(np.isinf(maxs - mins), 0.5, 1.0)
+    scaled = (ds.features * k - mins * k) / (maxs * k - mins * k)
     return Dataset(
         features=scaled,
         feature_meta=ds.feature_meta,

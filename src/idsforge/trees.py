@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -84,22 +85,19 @@ class TreeParams:
 
 
 @dataclass
-class TreeNode:
-    depth: int
-    distribution: np.ndarray | None = None  # leaf payload, sums to 1
-    split_feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.distribution is not None
-
-
-@dataclass
 class DecisionTree:
-    root: TreeNode
+    """A binary tree as parallel arrays over its nodes in preorder, root at 0:
+    the layout of the model document's node list. feature is -1 at leaves; a
+    split sends a row left when row[feature] <= threshold. left and right are
+    child indices (-1 at leaves), depth counts edges from the root and value
+    (nodes x classes) holds each leaf's class distribution, zeros at splits."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    depth: np.ndarray
+    value: np.ndarray
     n_features: int
     n_classes: int
     params: TreeParams
@@ -109,6 +107,16 @@ class DecisionTree:
 
     def predict_batch(self, rows) -> np.ndarray:
         return tree_predict_batch(self, rows)
+
+    @property
+    def root(self):
+        # Linked copies of the nodes for perfbench/spans.py::_sweep, the only reader.
+        nodes = [SimpleNamespace(depth=d, split_feature=f, threshold=t, is_leaf=f < 0)
+                 for d, f, t in zip(*(a.tolist() for a in (self.depth, self.feature,
+                                                            self.threshold)))]
+        for node, left, right in zip(nodes, self.left.tolist(), self.right.tolist()):
+            node.left, node.right = (nodes[left], nodes[right]) if left >= 0 else (None, None)
+        return nodes[0]
 
 
 @dataclass
@@ -247,13 +255,17 @@ def _best_split(codes, y, feature_ids, weights, min_leaf, values, n_classes):
 def _grow(codes, y, values, n_classes, params, weights, feature_sample, rng, tested):
     """Iterative preorder construction (node, left subtree, right subtree), so
     per-node rng draws happen in the same order a recursive build would make
-    and arbitrarily deep trees stay off the Python stack."""
+    and arbitrarily deep trees stay off the Python stack. Returns the arrays
+    of DecisionTree, feature to value."""
     d = codes.shape[1]
     c = n_classes
-    holder = TreeNode(depth=-1)  # temporary parent for the root
-    work = [(codes, y, 0, holder, "left")]
+    nodes = []  # [feature, threshold, left, right, depth, value] per node, in preorder
+    work = [(codes, y, 0, -1)]  # (codes, labels, depth, parent if a right child else -1)
     while work:
-        codes_node, y_node, depth, parent, slot = work.pop()
+        codes_node, y_node, depth, right_of = work.pop()
+        index = len(nodes)
+        if right_of >= 0:
+            nodes[right_of][3] = index
         n = y_node.size
         counts = np.bincount(y_node, minlength=c)
 
@@ -270,22 +282,20 @@ def _grow(codes, y, values, n_classes, params, weights, feature_sample, rng, tes
                 split = best
 
         if split is None:
-            node = TreeNode(depth=depth, distribution=(counts + 1.0) / (n + c))
-            setattr(parent, slot, node)
+            nodes.append([-1, 0.0, -1, -1, depth, (counts + 1.0) / (n + c)])
             continue
 
         feat, threshold, _ = split
         level = depth + 1
         if feat not in tested or level < tested[feat]:
             tested[feat] = level
-        node = TreeNode(depth=depth, split_feature=feat, threshold=threshold)
-        setattr(parent, slot, node)
+        nodes.append([feat, threshold, index + 1, -1, depth, np.zeros(c)])
         # compare values, as prediction does: a midpoint can round onto the upper value
         go_left = values[codes_node[:, feat]] <= threshold
         # right pushed first so the left subtree is built first
-        work.append((codes_node[~go_left], y_node[~go_left], depth + 1, node, "right"))
-        work.append((codes_node[go_left], y_node[go_left], depth + 1, node, "left"))
-    return holder.left
+        work.append((codes_node[~go_left], y_node[~go_left], depth + 1, index))
+        work.append((codes_node[go_left], y_node[go_left], depth + 1, -1))
+    return [np.array(column) for column in zip(*nodes)]
 
 
 def _checked_rows(ds, rows, what):
@@ -298,9 +308,9 @@ def _checked_rows(ds, rows, what):
 def _fit_tree(ds, codes, values, labels, params, weights, feature_sample, rng):
     """Grow one tree on the rows whose value codes and labels are given."""
     tested: dict[int, int] = {}
-    root = _grow(codes, labels.astype(codes.dtype), values, ds.n_classes, params, weights,
-                 feature_sample, rng, tested)
-    tree = DecisionTree(root=root, n_features=ds.n_features, n_classes=ds.n_classes,
+    arrays = _grow(codes, labels.astype(codes.dtype), values, ds.n_classes, params, weights,
+                   feature_sample, rng, tested)
+    tree = DecisionTree(*arrays, n_features=ds.n_features, n_classes=ds.n_classes,
                         params=params)
     return tree, tested
 
@@ -340,35 +350,24 @@ def tree_predict(tree: DecisionTree, row) -> np.ndarray:
 
 
 def tree_predict_batch(tree: DecisionTree, rows) -> np.ndarray:
+    """Class distribution of each row's leaf. The rows descend together one
+    level per step, each step moving every row not yet at a leaf."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != tree.n_features:
         raise InputError("batch shape does not match the tree's feature count")
-    out = np.empty((rows.shape[0], tree.n_classes), dtype=np.float64)
-    stack = [(tree.root, np.arange(rows.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.distribution
-            continue
-        go_left = rows[idx, node.split_feature] <= node.threshold
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
-    return out
+    node = np.zeros(rows.shape[0], dtype=np.int64)
+    moving = np.flatnonzero(tree.feature[node] >= 0)
+    while moving.size:
+        at = node[moving]
+        go_left = rows[moving, tree.feature[at]] <= tree.threshold[at]
+        node[moving] = at = np.where(go_left, tree.left[at], tree.right[at])
+        moving = moving[tree.feature[at] >= 0]
+    return tree.value[node]
 
 
 def tree_height(tree: DecisionTree) -> int:
     """Longest root-to-node path length in edges."""
-    height = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        height = max(height, node.depth)
-        if not node.is_leaf:
-            stack.append(node.left)
-            stack.append(node.right)
-    return height
+    return int(tree.depth.max())
 
 
 def _tree_seed(seed: int, index: int) -> int:
@@ -535,71 +534,63 @@ def forest_predict_batch(forest: Forest, rows) -> np.ndarray:
     return acc / len(forest.trees)
 
 
-def _nodes_to_list(root: TreeNode) -> list[dict]:
-    """Preorder node list; split nodes name their children by list index.
-
-    Walks with an explicit stack, so tree depth is not bounded by the
-    interpreter's recursion limit.
-    """
-    nodes: list[dict] = []
-    pending = [(root, None, None)]  # (node, parent index, side the parent links it by)
-    while pending:
-        node, parent, side = pending.pop()
-        index = len(nodes)
-        if parent is not None:
-            nodes[parent][side] = index
-        if node.is_leaf:
-            nodes.append({"depth": node.depth,
-                          "distribution": [float(p) for p in node.distribution]})
-        else:
-            nodes.append({"depth": node.depth, "feature": node.split_feature,
-                          "threshold": node.threshold, "left": None, "right": None})
-            pending.append((node.right, index, "right"))
-            pending.append((node.left, index, "left"))
-    return nodes
-
-
-def _nodes_from_list(nodes: list[dict]) -> TreeNode:
-    """Inverse of _nodes_to_list, also walking with an explicit stack."""
-    root = None
-    pending = [(0, None, None)]  # (list index, parent node, side the parent links it by)
-    visited = 0
-    while pending:
-        index, parent, side = pending.pop()
-        visited += 1
-        if visited > len(nodes):
-            raise InputError("model tree links form a cycle")
-        spec = nodes[index]
-        if "distribution" in spec:
-            node = TreeNode(depth=spec["depth"],
-                            distribution=np.array(spec["distribution"], dtype=np.float64))
-        else:
-            node = TreeNode(depth=spec["depth"], split_feature=spec["feature"],
-                            threshold=spec["threshold"])
-            pending.append((spec["right"], node, "right"))
-            pending.append((spec["left"], node, "left"))
-        if parent is None:
-            root = node
-        else:
-            setattr(parent, side, node)
-    return root
-
-
 def _params_to_doc(params: TreeParams) -> dict:
     return {"min_leaf": params.min_leaf, "max_depth": params.max_depth,
             "min_gain": params.min_gain}
 
 
 def _tree_to_doc(tree: DecisionTree) -> dict:
+    """The arrays as the document's preorder node list."""
+    columns = (tree.depth, tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    nodes = [{"depth": d, "distribution": v} if f < 0 else
+             {"depth": d, "feature": f, "threshold": t, "left": l, "right": r}
+             for d, f, t, l, r, v in zip(*(a.tolist() for a in columns))]
     return {"n_features": tree.n_features, "n_classes": tree.n_classes,
-            "params": _params_to_doc(tree.params), "nodes": _nodes_to_list(tree.root)}
+            "params": _params_to_doc(tree.params), "nodes": nodes}
+
+
+def _field_array(values, kinds, key) -> np.ndarray:
+    # type(v), not isinstance: JSON true and false load as bool, an int subclass
+    if not all(type(v) in kinds for v in values):
+        raise InputError(f"model tree {key!r} values have the wrong JSON type")
+    return np.array(values, dtype=np.float64 if float in kinds else np.int64)
 
 
 def _tree_from_doc(doc: dict) -> DecisionTree:
+    """Fill a tree's arrays from its node list. Every split node's children
+    must lie after it and inside the list: that one test rules out cycles,
+    so tree_predict_batch reaches a leaf within len(nodes) steps."""
     params = TreeParams(**doc["params"])
-    return DecisionTree(root=_nodes_from_list(doc["nodes"]),
-                        n_features=doc["n_features"], n_classes=doc["n_classes"],
-                        params=params)
+    n_features, n_classes, nodes = doc["n_features"], doc["n_classes"], doc["nodes"]
+    if not (type(n_features) is type(n_classes) is int and n_features >= 0 and n_classes >= 1):
+        raise InputError("model tree feature and class counts must be non-negative integers")
+    if type(nodes) is not list or not nodes:
+        raise InputError("model tree has no nodes")
+    is_leaf = np.array(["distribution" in spec for spec in nodes])
+    dists = [spec["distribution"] for spec in nodes if "distribution" in spec]
+    if not all(type(dist) is list and len(dist) == n_classes for dist in dists):
+        raise InputError(f"model tree leaf distributions must list {n_classes} numbers")
+    keys = ("feature", "threshold", "left", "right", "depth")
+    fields = [[-1, 0.0, -1, -1, spec["depth"]] if "distribution" in spec else
+              [spec[key] for key in keys] for spec in nodes]
+    feature, threshold, left, right, depth = (
+        _field_array(column, (int, float) if key == "threshold" else (int,), key)
+        for key, column in zip(keys, zip(*fields)))
+    at = np.flatnonzero(~is_leaf)
+    parents, children = np.concatenate([at, at]), np.concatenate([left[at], right[at]])
+    if not ((children > parents) & (children < len(nodes))).all():
+        raise InputError("model tree child indices must point forward inside the node list")
+    if ((feature[at] < 0) | (feature[at] >= n_features)).any():
+        raise InputError(f"model tree split features must lie in [0, {n_features})")
+    # the last node is a leaf now, so n_classes is no larger than the document
+    value = np.zeros((len(nodes), n_classes))
+    leaves = _field_array([p for dist in dists for p in dist], (int, float),
+                          "distribution").reshape(-1, n_classes)
+    value[is_leaf] = leaves
+    if not ((leaves >= 0).all() and (np.abs(leaves.sum(axis=1) - 1.0) <= 1e-9).all()):
+        raise InputError("model tree leaf distributions must be non-negative and sum to 1")
+    return DecisionTree(feature, threshold, left, right, depth, value,
+                        n_features=n_features, n_classes=n_classes, params=params)
 
 
 def model_to_doc(model) -> dict:
@@ -626,28 +617,34 @@ def model_to_doc(model) -> dict:
 
 
 def model_from_doc(doc: dict):
-    if doc.get("format") != MODEL_FORMAT:
+    """Rebuild a tree or forest from model_to_doc's document; raises
+    InputError for a document that does not describe one."""
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise InputError("not a model document")
     if doc.get("version") != MODEL_VERSION:
         raise InputError(f"unsupported model version {doc.get('version')}")
     kind = doc.get("kind")
-    if kind == "c45":
-        return _tree_from_doc(doc)
-    if kind in ("random_forest", "forest_pa"):
-        aw = None
-        if doc.get("attribute_weights") is not None:
-            spec = doc["attribute_weights"]
-            aw = AttributeWeights(
-                weights=np.array(spec["weights"], dtype=np.float64),
-                last_level=np.array(spec["last_level"], dtype=np.int64),
-                increments=np.array(spec["increments"], dtype=np.float64),
-            )
-        return Forest(trees=[_tree_from_doc(t) for t in doc["trees"]], kind=kind,
-                      bootstrap_seeds=list(doc["bootstrap_seeds"]),
-                      oob_error=doc.get("oob_error"),
-                      subspace_size=doc.get("subspace_size"),
-                      attribute_weights=aw)
-    raise InputError(f"unknown model kind {kind!r}")
+    if kind not in ("c45", "random_forest", "forest_pa"):
+        raise InputError(f"unknown model kind {kind!r}")
+    try:
+        return _tree_from_doc(doc) if kind == "c45" else _forest_from_doc(doc, kind)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a missing key, a value of the wrong JSON type, or a number too large for numpy
+        raise InputError(f"malformed {kind} model: {type(exc).__name__} {exc}") from exc
+
+
+def _forest_from_doc(doc: dict, kind: str) -> Forest:
+    trees = [_tree_from_doc(t) for t in doc["trees"]]
+    if len({(t.n_features, t.n_classes) for t in trees}) != 1:
+        raise InputError("model forest needs one or more trees of equal feature and class counts")
+    spec = doc.get("attribute_weights")
+    aw = None if spec is None else AttributeWeights(
+        np.array(spec["weights"], dtype=np.float64),
+        np.array(spec["last_level"], dtype=np.int64),
+        np.array(spec["increments"], dtype=np.float64))
+    return Forest(trees=trees, kind=kind, bootstrap_seeds=list(doc["bootstrap_seeds"]),
+                  oob_error=doc.get("oob_error"), subspace_size=doc.get("subspace_size"),
+                  attribute_weights=aw)
 
 
 def save_model(model, path) -> None:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,15 @@ class TestNormalize:
         ds = make_dataset([[0.0], [10.0]], [0, 1])
         out = normalize(ds)
         assert out.feature_meta[0].observed_max == 10.0
+
+    def test_range_wider_than_largest_double_scales_without_warning(self):
+        # max - min of the first column overflows though every cell is finite
+        ds = make_dataset([[-1e308, 0.0], [0.0, 3.0], [1e308, 10.0]], [0, 1, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize(ds)
+        assert list(out.features[:, 0]) == [0.0, 0.5, 1.0]
+        assert list(out.features[:, 1]) == [0.0, 0.3, 1.0]
 
 
 def dealt_row_by_row(ds, k, seed):

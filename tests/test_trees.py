@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idsforge.errors import InputError
-from idsforge.trees import (DecisionTree, TreeNode, TreeParams, _best_split,
+from idsforge.trees import (DecisionTree, Forest, TreeParams, _best_split,
                             _value_codes, c45_fit,
                             entropy, forest_pa_fit, forest_predict,
                             forest_predict_batch, gain_ratio, load_model,
@@ -114,12 +115,22 @@ def golden_models():
 
 
 def oracle_leaf(tree, row):
-    """The leaf a row lands in, found by walking the linked nodes one row at
-    a time: the reference for tree_predict_batch."""
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if row[node.split_feature] <= node.threshold else node.right
+    """Index of the leaf a row lands in, found by walking the arrays one node
+    at a time: the reference for tree_predict_batch."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
     return node
+
+
+def leaf_tree(distribution, n_features):
+    """A tree that is a single leaf."""
+    return DecisionTree(feature=np.array([-1]), threshold=np.zeros(1), left=np.array([-1]),
+                        right=np.array([-1]), depth=np.array([0]),
+                        value=np.array([distribution], dtype=np.float64),
+                        n_features=n_features, n_classes=len(distribution),
+                        params=TreeParams())
 
 
 class TestEntropy:
@@ -198,13 +209,13 @@ class TestC45:
     def test_single_class_rows_give_leaf(self):
         ds = make_dataset([[0.1], [0.5], [0.9], [0.2]], [0, 0, 0, 1])
         tree = c45_fit(ds, rows=[0, 1, 2])  # all class 0
-        assert tree.root.is_leaf
-        assert np.argmax(tree.root.distribution) == 0
+        assert tree.feature.tolist() == [-1]
+        assert np.argmax(tree.value[0]) == 0
 
     def test_no_features_gives_a_leaf(self):
         ds = make_dataset(np.empty((4, 0)), [0, 1, 0, 1])
         for tree in [c45_fit(ds)] + rf_fit(ds, n_trees=2).trees + forest_pa_fit(ds, n_trees=2).trees:
-            assert tree.root.is_leaf
+            assert tree.feature.tolist() == [-1]
 
     def test_xor_needs_depth_two(self):
         pts = [(0.0, 0.0, 0), (0.0, 1.0, 1), (1.0, 0.0, 1), (1.0, 1.0, 0)]
@@ -216,14 +227,7 @@ class TestC45:
         assert score == 0.0
         ds = make_dataset(feats, labels)
         tree = c45_fit(ds, params=TreeParams(min_leaf=1, min_gain=0.0))
-        n_nodes = 0
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            n_nodes += 1
-            if not node.is_leaf:
-                stack.extend([node.left, node.right])
-        assert n_nodes >= 3
+        assert tree.feature.size >= 3
         assert tree_height(tree) >= 2
         pred = tree_predict_batch(tree, feats).argmax(axis=1)
         assert (pred == labels).all()
@@ -233,9 +237,9 @@ class TestC45:
         tree = c45_fit(ds, params=TreeParams(min_leaf=1, min_gain=0.0))
         score, feature, thr = brute_force_best_split(
             ds.features, ds.labels, ds.n_classes)
-        assert tree.root.split_feature == feature
+        assert tree.feature[0] == feature
         root_counts = np.bincount(ds.labels, minlength=ds.n_classes)
-        left = ds.features[:, tree.root.split_feature] <= tree.root.threshold
+        left = ds.features[:, tree.feature[0]] <= tree.threshold[0]
         achieved = gain_ratio(root_counts, [
             np.bincount(ds.labels[left], minlength=ds.n_classes),
             np.bincount(ds.labels[~left], minlength=ds.n_classes),
@@ -254,9 +258,9 @@ class TestC45:
         ds = make_dataset(feats, labels)
         score, feature, thr = brute_force_best_split(ds.features, ds.labels, 2)
         tree = c45_fit(ds, params=TreeParams(min_leaf=1, min_gain=0.0))
-        if score <= 0.0 and tree.root.is_leaf:
+        if score <= 0.0 and tree.feature[0] < 0:
             return
-        left = ds.features[:, tree.root.split_feature] <= tree.root.threshold
+        left = ds.features[:, tree.feature[0]] <= tree.threshold[0]
         achieved = gain_ratio(np.bincount(labels, minlength=2), [
             np.bincount(labels[left], minlength=2),
             np.bincount(labels[~left], minlength=2),
@@ -280,11 +284,9 @@ class TestC45:
         tree = c45_fit(ds, params=TreeParams(min_leaf=5, min_gain=0.0))
         # every leaf carries at least min_leaf training rows: verify by
         # routing the training data
-        leaves = {}
-        for row in feats:
-            leaf = oracle_leaf(tree, row)
-            leaves[id(leaf)] = leaves.get(id(leaf), 0) + 1
-        assert min(leaves.values()) >= 5
+        rows_per_node = np.bincount([oracle_leaf(tree, row) for row in feats],
+                                    minlength=tree.feature.size)
+        assert rows_per_node[tree.feature < 0].min() >= 5
 
 
 class TestSplitSearch:
@@ -323,6 +325,10 @@ class TestGoldenModels:
             assert len(got["nodes"]) == len(exp["nodes"]), f"{name} tree {t}"
         assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
 
+    @pytest.mark.parametrize("name", ["c45", "c45_full", "rf", "forest_pa"])
+    def test_recorded_document_loads_unchanged(self, recorded, name):
+        assert model_to_doc(model_from_doc(recorded[name])) == recorded[name]
+
 
 class TestTreePredict:
     def test_single_leaf_distribution(self):
@@ -355,17 +361,22 @@ class TestTreePredict:
         with pytest.raises(InputError):
             tree_predict(tree, [0.5])
 
-    @pytest.mark.parametrize("kind", ["c45", "rf", "forest_pa"])
+    @pytest.mark.parametrize("kind", ["c45", "rf", "forest_pa", "chain"])
     def test_batch_matches_oracle_walk_bit_for_bit(self, kind):
         ds = make_blobs(seed=6, n=150, d=5, spread=0.4)
         fits = {"c45": lambda: [c45_fit(ds, params=TreeParams(min_leaf=1, min_gain=0.0))],
                 "rf": lambda: rf_fit(ds, n_trees=4, seed=2).trees,
-                "forest_pa": lambda: forest_pa_fit(ds, n_trees=4, seed=2).trees}
+                "forest_pa": lambda: forest_pa_fit(ds, n_trees=4, seed=2).trees,
+                "chain": lambda: [chain_tree(1500)]}
         # training rows, their midpoints (ties with thresholds) and far probes
         probes = np.vstack([ds.features, (ds.features[:-1] + ds.features[1:]) / 2,
                             np.random.default_rng(1).uniform(-2, 3, (100, 5))])
+        if kind == "chain":
+            # ties with the thresholds at both ends of the chain, beyond them and between
+            probes = np.concatenate([np.arange(-1.0, 30.0, 0.5), np.arange(1470.0, 1502.0, 0.5),
+                                     np.random.default_rng(1).uniform(30, 1470, 20)])[:, None]
         for tree in fits[kind]():
-            expected = np.array([oracle_leaf(tree, row).distribution for row in probes])
+            expected = np.array([tree.value[oracle_leaf(tree, row)] for row in probes])
             assert tree_predict_batch(tree, probes).tobytes() == expected.tobytes()
             for row, dist in zip(probes[::25], expected[::25]):
                 assert tree_predict(tree, row).tobytes() == dist.tobytes()
@@ -453,15 +464,9 @@ class TestForestPA:
         last_tree = forest.trees[-1]
         # recompute the levels tested by the last tree
         levels = {}
-        stack = [last_tree.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            levels[node.split_feature] = min(
-                levels.get(node.split_feature, node.depth + 1), node.depth + 1)
-            stack.append(node.left)
-            stack.append(node.right)
+        for feature, depth in zip(last_tree.feature, last_tree.depth):
+            if feature >= 0:
+                levels[feature] = min(levels.get(feature, depth + 1), depth + 1)
         assert levels, "last tree tested no attribute"
         for attr, level in levels.items():
             lo, hi = weight_range(level, rho=1e-4)
@@ -506,16 +511,14 @@ class TestForestPredict:
             for row, dist in zip(probes, batch):
                 acc = np.zeros(forest.n_classes)
                 for tree in forest.trees:
-                    acc += oracle_leaf(tree, row).distribution
+                    acc += tree.value[oracle_leaf(tree, row)]
                 expected = acc / len(forest.trees)
                 assert dist.tobytes() == expected.tobytes()
                 assert forest_predict(forest, row).tobytes() == expected.tobytes()
 
     def test_mean_of_two_votes(self):
-        from idsforge.trees import DecisionTree, Forest, TreeNode
-        t1 = DecisionTree(TreeNode(0, distribution=np.array([1.0, 0.0])), 2, 2, TreeParams())
-        t2 = DecisionTree(TreeNode(0, distribution=np.array([0.0, 1.0])), 2, 2, TreeParams())
-        forest = Forest([t1, t2], "random_forest", [0, 1])
+        forest = Forest([leaf_tree([1.0, 0.0], 2), leaf_tree([0.0, 1.0], 2)],
+                        "random_forest", [0, 1])
         assert forest_predict(forest, [0.0, 0.0]) == pytest.approx([0.5, 0.5])
 
     def test_distributions_sum_to_one(self):
@@ -526,16 +529,62 @@ class TestForestPredict:
         assert np.allclose(sums, 1.0, atol=1e-9)
 
 
+def first_leaf(doc):
+    return next(node for node in doc["nodes"] if "distribution" in node)
+
+
+# Saved documents broken in one place each: (model kind, how it is broken).
+MALFORMED = {
+    "child index -1": ("c45", lambda doc: doc["nodes"][0].update(left=-1)),
+    "child index past the list": ("c45", lambda doc: doc["nodes"][0].update(
+        right=len(doc["nodes"]))),
+    "short leaf distribution": ("c45", lambda doc: first_leaf(doc).update(distribution=[1.0])),
+    "missing threshold": ("c45", lambda doc: doc["nodes"][0].pop("threshold")),
+    "missing params": ("c45", lambda doc: doc.pop("params")),
+    "split feature out of range": ("c45", lambda doc: doc["nodes"][0].update(feature=99)),
+    "split feature -1": ("c45", lambda doc: doc["nodes"][0].update(feature=-1)),
+    "forest without trees": ("random_forest", lambda doc: doc.update(trees=[])),
+    "empty node list": ("c45", lambda doc: doc.update(nodes=[])),
+    "child index true": ("c45", lambda doc: doc["nodes"][0].update(left=True)),
+    "threshold as a string": ("c45", lambda doc: doc["nodes"][0].update(threshold="0.5")),
+    "forest trees of different widths": ("forest_pa", lambda doc: doc["trees"][1].update(
+        n_features=doc["trees"][1]["n_features"] + 1)),
+}
+
+
+def document_paths(doc, path=()):
+    """The key path of every value in a JSON document, containers included."""
+    paths = []
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        paths.append(path + (key,))
+        if isinstance(value, (dict, list)):
+            paths += document_paths(value, path + (key,))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def saved_docs():
+    """Small saved documents of each model kind, to be broken by the tests."""
+    ds = make_tied_dataset(seed=3, n=120, classes=3)
+    return {"c45": model_to_doc(c45_fit(ds)),
+            "random_forest": model_to_doc(rf_fit(ds, n_trees=2, seed=1)),
+            "forest_pa": model_to_doc(forest_pa_fit(ds, n_trees=2, seed=1))}
+
+
 def chain_tree(depth):
     """A one-feature tree whose split nodes each peel one leaf off to the
-    left, so it is `depth` edges deep."""
-    leaf = TreeNode(depth=depth, distribution=np.array([0.25, 0.75]))
-    node = leaf
-    for d in range(depth - 1, -1, -1):
-        left = TreeNode(depth=d + 1, distribution=np.array([0.75, 0.25]) if d % 2 else
-                        np.array([0.5, 0.5]))
-        node = TreeNode(depth=d, split_feature=0, threshold=d + 0.5, left=left, right=node)
-    return DecisionTree(root=node, n_features=1, n_classes=2, params=TreeParams())
+    left, so it is `depth` edges deep: in preorder, the split at depth d is
+    node 2d, with threshold d + 0.5, and its left leaf node 2d + 1."""
+    index = np.arange(2 * depth + 1)
+    split = (index % 2 == 0) & (index < 2 * depth)
+    value = np.zeros((index.size, 2))
+    value[1::2] = np.where(index[1::2, None] // 2 % 2 == 1, [0.75, 0.25], [0.5, 0.5])
+    value[-1] = [0.25, 0.75]
+    return DecisionTree(feature=np.where(split, 0, -1),
+                        threshold=np.where(split, index // 2 + 0.5, 0.0),
+                        left=np.where(split, index + 1, -1), right=np.where(split, index + 2, -1),
+                        depth=(index + 1) // 2, value=value, n_features=1, n_classes=2,
+                        params=TreeParams())
 
 
 class TestSerialization:
@@ -599,3 +648,45 @@ class TestSerialization:
         doc["version"] = 99
         with pytest.raises(InputError):
             model_from_doc(doc)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_document_rejected(self, saved_docs, case):
+        kind, corrupt = MALFORMED[case]
+        doc = copy.deepcopy(saved_docs[kind])
+        corrupt(doc)
+        with pytest.raises(InputError):
+            model_from_doc(doc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_broken_document_rejected_or_predicts_distributions(self, saved_docs, data):
+        """Drop a key, or change an index, a length or a type, anywhere in a
+        saved document: loading raises InputError or gives a model whose
+        predictions are class distributions."""
+        doc = copy.deepcopy(saved_docs[data.draw(st.sampled_from(sorted(saved_docs)))])
+        *parents, key = data.draw(st.sampled_from(document_paths(doc)))
+        holder = doc
+        for step in parents:
+            holder = holder[step]
+        change = data.draw(st.sampled_from(["drop", "index", "length", "type"]))
+        if change == "drop":
+            del holder[key]
+        elif change == "index":
+            holder[key] = data.draw(st.integers(-3, 120) | st.sampled_from([2**63, 2**70]))
+        elif change == "length" and isinstance(holder[key], list):
+            cut = data.draw(st.integers(0, len(holder[key])))
+            holder[key] = holder[key][:cut] if data.draw(st.booleans()) else \
+                holder[key] + holder[key][:cut]
+        else:
+            holder[key] = data.draw(st.sampled_from(
+                [None, True, "1", 0.5, 1e308, math.nan, [], {}, [1.0], [holder[key]]]))
+        try:
+            model = model_from_doc(doc)
+        except InputError:
+            return
+        # a document may validly claim more features than a test row can hold
+        assume(model.n_features <= 1000)
+        probes = np.random.default_rng(0).uniform(-1, 2, (64, model.n_features))
+        out = model.predict_batch(probes)
+        assert out.shape == (64, model.n_classes)
+        assert (out >= 0).all() and np.allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
