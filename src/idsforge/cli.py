@@ -32,7 +32,9 @@ from .trees import TreeParams
 
 SELECTORS = ("cfs-ba", "ig", "igr", "none", "list")
 
-# Swarm flag -> (BatSwarmConfig field, type, help). BatSwarmConfig holds the defaults.
+# Flag -> (field, type, help) of the object that holds the flag's default:
+# BatSwarmConfig for the swarm flags, TreeParams for the tree flags and
+# ClassifierSpec for the forest flags.
 SWARM_FLAGS = {
     "n-bats": ("n_bats", int, "swarm size"),
     "iterations": ("max_iterations", int, "swarm iterations"),
@@ -40,6 +42,15 @@ SWARM_FLAGS = {
     "gamma": ("gamma", float, "pulse-rate growth > 0"),
     "f-min": ("f_min", float, "lowest flight frequency"),
     "f-max": ("f_max", float, "highest flight frequency"),
+}
+TREE_FLAGS = {
+    "min-leaf": ("min_leaf", int, "fewest rows per leaf"),
+    "max-depth": ("max_depth", int, "depth limit, unset for none"),
+    "min-gain": ("min_gain", float, "smallest weighted gain ratio that splits"),
+}
+FOREST_FLAGS = {
+    "n-trees": ("n_trees", int, "trees per forest"),
+    "rho": ("rho", float, "weight-band separation"),
 }
 
 
@@ -87,18 +98,26 @@ class Options:
             raise InputError(f"missing required option --{key}")
         return value
 
+    def given(self, flags) -> dict:
+        """Field -> value for each flag of a flag table set by flag or config
+        key; the fields left out keep their defaults."""
+        values = {field: self.get(flag, None, cast) for flag, (field, cast, _) in flags.items()}
+        return {field: value for field, value in values.items() if value is not None}
+
 
 def _thread_count(opts: Options) -> int:
-    explicit = opts.get("threads", None, int)
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("IDSFORGE_THREADS")
-    if env:
+    threads = opts.get("threads", None, int)
+    if threads is None:
+        env = os.environ.get("IDSFORGE_THREADS")
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise InputError(f"IDSFORGE_THREADS={env!r} is not an integer") from None
-    return os.cpu_count() or 1
+    if threads < 1:
+        raise InputError(f"thread count must be at least 1, got {threads}")
+    return threads
 
 
 def _write_json(path, payload) -> None:
@@ -157,7 +176,9 @@ def _read_subset_file(path) -> list[int]:
 
 
 def _checked_indices(ds, indices: list[int]) -> list[int]:
-    """Reject feature indices outside 0 <= i < n_features."""
+    """The feature indices sorted and without repeats; rejects any outside
+    0 <= i < n_features."""
+    indices = sorted(set(indices))
     for i in indices:
         if not 0 <= i < ds.n_features:
             raise InputError(f"feature index {i} out of range; the dataset has "
@@ -172,10 +193,7 @@ def _run_selector(ds, opts: Options):
         raise InputError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
     bins = opts.get("bins", 10, int)
     if selector == "cfs-ba":
-        values = {field: opts.get(flag, None, cast)
-                  for flag, (field, cast, _) in SWARM_FLAGS.items()}
-        values["seed"] = opts.get("seed", None, int)
-        config = BatSwarmConfig(**{k: v for k, v in values.items() if v is not None})
+        config = BatSwarmConfig(**opts.given({**SWARM_FLAGS, "seed": ("seed", int, None)}))
         subset, trace = cfs_ba_select(ds, config, bins=bins)
         payload = selection_report(subset, trace, ds)
         payload["selector"] = selector
@@ -202,7 +220,7 @@ def _run_selector(ds, opts: Options):
         text = opts.get("features")
         if text is None:
             raise InputError("selector 'list' needs --features")
-        indices = _checked_indices(ds, sorted(set(_parse_feature_list(text))))
+        indices = _checked_indices(ds, _parse_feature_list(text))
     return {
         "selector": selector,
         "selected": indices,
@@ -236,32 +254,26 @@ def _classifier_specs(opts: Options) -> list[ClassifierSpec]:
     kinds = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not kinds:
         raise InputError("no classifiers configured")
-    params = TreeParams(
-        min_leaf=opts.get("min-leaf", 2, int),
-        max_depth=opts.get("max-depth", None, int),
-        min_gain=opts.get("min-gain", 1e-6, float),
-    )
-    n_trees = opts.get("n-trees", 100, int)
-    rho = opts.get("rho", 1e-4, float)
-    return [ClassifierSpec(kind=k, params=params, n_trees=n_trees, rho=rho)
-            for k in kinds]
+    params = TreeParams(**opts.given(TREE_FLAGS))
+    return [ClassifierSpec(kind=k, params=params, **opts.given(FOREST_FLAGS)) for k in kinds]
 
 
 def _resolve_features(ds, opts: Options):
+    """(feature indices, selection block) for evaluate, or (None, None) for
+    every feature. The indices are sorted and without repeats whatever their
+    source, so the order in which a subset file or ranking lists them does
+    not change the result."""
     subset_file = opts.get("subset-file")
     features = opts.get("features")
     selector = opts.get("selector")
-    if subset_file:
-        indices = _checked_indices(ds, _read_subset_file(subset_file))
-        return indices, {"selector": "file", "selected": indices,
-                         "names": [ds.feature_meta[i].name for i in indices]}
-    if features:
-        indices = _checked_indices(ds, sorted(set(_parse_feature_list(features))))
-        return indices, {"selector": "list", "selected": indices,
+    if subset_file or features:
+        listed = _read_subset_file(subset_file) if subset_file else _parse_feature_list(features)
+        indices = _checked_indices(ds, listed)
+        return indices, {"selector": "file" if subset_file else "list", "selected": indices,
                          "names": [ds.feature_meta[i].name for i in indices]}
     if selector and selector != "none":
         payload = _run_selector(ds, opts)
-        return payload["selected"], payload
+        return _checked_indices(ds, payload["selected"]), payload
     return None, None
 
 
@@ -408,6 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"idsforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def flags(p, table, defaults):
+        for flag, (field, cast, text) in table.items():
+            p.add_argument(f"--{flag}", type=cast,
+                           help=f"{text} (default {getattr(defaults, field)})")
+
     def common(p):
         p.add_argument("--config", help="properties-style config file; flags win")
         p.add_argument("--out", help="output directory")
@@ -420,10 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--top", type=int, help="feature count for ig / igr")
         p.add_argument("--features", help="comma list of feature indices")
         p.add_argument("--bins", type=int, help="discretization bins (default 10)")
-        defaults = BatSwarmConfig()
-        for flag, (field, cast, text) in SWARM_FLAGS.items():
-            p.add_argument(f"--{flag}", type=cast,
-                           help=f"{text} (default {getattr(defaults, field)})")
+        flags(p, SWARM_FLAGS, BatSwarmConfig())
 
     p = sub.add_parser("preprocess", help="clean, encode and scale a raw CSV")
     common(p)
@@ -447,11 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=[r.value for r in CombinationRule])
     p.add_argument("--k", type=int, help="fold count (default 10)")
     p.add_argument("--repeats", type=int, help="repetitions (default 1)")
-    p.add_argument("--n-trees", type=int, help="trees per forest (default 100)")
-    p.add_argument("--min-leaf", type=int)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--min-gain", type=float)
-    p.add_argument("--rho", type=float, help="weight-band separation (default 1e-4)")
+    flags(p, FOREST_FLAGS, ClassifierSpec("forest_pa"))
+    flags(p, TREE_FLAGS, TreeParams())
     p.add_argument("--adr-mode", choices=["exact_class", "binary"])
 
     p = sub.add_parser("stats", help="Friedman / Nemenyi analysis of a metric table")

@@ -1,9 +1,11 @@
 """Combine per-classifier class distributions into one decision.
 
 Five combination rules are supported; the default pipeline uses the average
-of probabilities. Members are anything exposing predict(row) -> distribution
-and predict_batch(rows), plus n_classes/n_features, which both tree model
-types provide.
+of probabilities. A member is anything exposing n_features, n_classes and
+predict_batch(rows), which maps a (rows, n_features) array to a
+(rows, n_classes) array of class distributions; both tree model types
+provide them. Members predict only in batches: ensemble_predict classifies
+one row as a batch of one.
 """
 
 from __future__ import annotations
@@ -121,11 +123,12 @@ class VoteEnsemble:
 
 
 def ensemble_predict(ens: VoteEnsemble, row) -> CombineResult:
-    """Each member predicts the row, then the rule combines the distributions."""
+    """Each member predicts the row as a batch of one, then the rule combines
+    the distributions."""
     row = np.asarray(row, dtype=np.float64)
     if row.shape != (ens.n_features,):
         raise InputError(f"row has {row.size} values, ensemble expects {ens.n_features}")
-    return combine([m.predict(row) for m in ens.members], ens.rule)
+    return combine([m.predict_batch(row[None])[0] for m in ens.members], ens.rule)
 
 
 def ensemble_predict_batch(ens: VoteEnsemble, rows) -> tuple[np.ndarray, np.ndarray]:

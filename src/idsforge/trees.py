@@ -102,9 +102,6 @@ class DecisionTree:
     n_classes: int
     params: TreeParams
 
-    def predict(self, row) -> np.ndarray:
-        return tree_predict(self, row)
-
     def predict_batch(self, rows) -> np.ndarray:
         return tree_predict_batch(self, rows)
 
@@ -149,9 +146,6 @@ class Forest:
     oob_error: float | None = None
     subspace_size: int | None = None
     attribute_weights: AttributeWeights | None = None
-
-    def predict(self, row) -> np.ndarray:
-        return forest_predict(self, row)
 
     def predict_batch(self, rows) -> np.ndarray:
         return forest_predict_batch(self, rows)
@@ -252,7 +246,7 @@ def _best_split(codes, y, feature_ids, weights, min_leaf, values, n_classes):
     return int(features[best]), threshold, float(ratio[best])
 
 
-def _grow(codes, y, values, n_classes, params, weights, feature_sample, rng, tested):
+def _grow(codes, y, values, n_classes, params, weights, feature_sample, rng):
     """Iterative preorder construction (node, left subtree, right subtree), so
     per-node rng draws happen in the same order a recursive build would make
     and arbitrarily deep trees stay off the Python stack. Returns the arrays
@@ -286,9 +280,6 @@ def _grow(codes, y, values, n_classes, params, weights, feature_sample, rng, tes
             continue
 
         feat, threshold, _ = split
-        level = depth + 1
-        if feat not in tested or level < tested[feat]:
-            tested[feat] = level
         nodes.append([feat, threshold, index + 1, -1, depth, np.zeros(c)])
         # compare values, as prediction does: a midpoint can round onto the upper value
         go_left = values[codes_node[:, feat]] <= threshold
@@ -307,12 +298,10 @@ def _checked_rows(ds, rows, what):
 
 def _fit_tree(ds, codes, values, labels, params, weights, feature_sample, rng):
     """Grow one tree on the rows whose value codes and labels are given."""
-    tested: dict[int, int] = {}
     arrays = _grow(codes, labels.astype(codes.dtype), values, ds.n_classes, params, weights,
-                   feature_sample, rng, tested)
-    tree = DecisionTree(*arrays, n_features=ds.n_features, n_classes=ds.n_classes,
+                   feature_sample, rng)
+    return DecisionTree(*arrays, n_features=ds.n_features, n_classes=ds.n_classes,
                         params=params)
-    return tree, tested
 
 
 def c45_fit(ds: Dataset, rows=None, params: TreeParams | None = None,
@@ -337,16 +326,7 @@ def c45_fit(ds: Dataset, rows=None, params: TreeParams | None = None,
             raise InputError("weights length must equal the feature count")
     rows = _checked_rows(ds, rows, "tree")
     codes, values = _value_codes(ds, rows)
-    tree, _ = _fit_tree(ds, codes, values, ds.labels[rows], params, weights, feature_sample, rng)
-    return tree
-
-
-def tree_predict(tree: DecisionTree, row) -> np.ndarray:
-    """Class distribution of the leaf the row lands in: a batch of one."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (tree.n_features,):
-        raise InputError(f"row has {row.size} values, tree expects {tree.n_features}")
-    return tree_predict_batch(tree, row[None])[0]
+    return _fit_tree(ds, codes, values, ds.labels[rows], params, weights, feature_sample, rng)
 
 
 def tree_predict_batch(tree: DecisionTree, rows) -> np.ndarray:
@@ -370,8 +350,20 @@ def tree_height(tree: DecisionTree) -> int:
     return int(tree.depth.max())
 
 
-def _tree_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+def _bootstrap_tree(ds, codes, values, labels, params, weights, feature_sample, seed, t):
+    """Tree t of a forest over the rows whose value codes and labels are given.
+
+    The tree's rng is default_rng(SeedSequence([seed, t])). It draws the
+    bootstrap positions first, then the tree's own draws, so every tree
+    depends on (seed, t) alone. Returns (tree seed, rng, positions, tree);
+    the rng is left where the tree's growth left it.
+    """
+    tree_seed = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
+    rng = np.random.default_rng(tree_seed)
+    positions = rng.integers(0, labels.size, labels.size)
+    tree = _fit_tree(ds, codes[positions], values, labels[positions], params, weights,
+                     feature_sample, rng)
+    return tree_seed, rng, positions, tree
 
 
 def rf_fit(ds: Dataset, rows=None, n_trees: int = 100,
@@ -388,6 +380,8 @@ def rf_fit(ds: Dataset, rows=None, n_trees: int = 100,
     """
     if n_trees < 1:
         raise InputError("need at least one tree")
+    if threads < 1:
+        raise InputError("need at least one thread")
     params = params or TreeParams()
     rows = _checked_rows(ds, rows, "forest")
     n = rows.size
@@ -396,19 +390,12 @@ def rf_fit(ds: Dataset, rows=None, n_trees: int = 100,
     labels = ds.labels[rows]
 
     def build(t: int):
-        tree_seed = _tree_seed(seed, t)
-        rng = np.random.default_rng(tree_seed)
-        positions = rng.integers(0, n, n)
-        inbag = np.bincount(positions, minlength=n) > 0
-        tree, _ = _fit_tree(ds, codes[positions], values, labels[positions], params, None,
-                            subspace, rng)
-        return tree_seed, tree, inbag
+        tree_seed, _, positions, tree = _bootstrap_tree(ds, codes, values, labels, params,
+                                                        None, subspace, seed, t)
+        return tree_seed, tree, np.bincount(positions, minlength=n) > 0
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(build, range(n_trees)))
-    else:
-        built = [build(t) for t in range(n_trees)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        built = list(pool.map(build, range(n_trees)))
 
     seeds = [b[0] for b in built]
     trees = [b[1] for b in built]
@@ -482,28 +469,29 @@ def forest_pa_fit(ds: Dataset, rows=None, n_trees: int = 100,
         raise InputError("rho must be finite and positive")
     params = params or TreeParams()
     rows = _checked_rows(ds, rows, "forest")
-    n = rows.size
     d = ds.n_features
     codes, values = _value_codes(ds, rows)
     labels = ds.labels[rows]
     state = AttributeWeights.fresh(d)
     level_cap = _max_valid_level(rho)
 
+    never = np.iinfo(np.int64).max
     seeds = []
     trees = []
     for t in range(n_trees):
-        tree_seed = _tree_seed(seed, t)
-        rng = np.random.default_rng(tree_seed)
-        positions = rng.integers(0, n, n)
-        tree, tested = _fit_tree(ds, codes[positions], values, labels[positions], params,
-                                 state.weights, None, rng)
+        tree_seed, rng, _, tree = _bootstrap_tree(ds, codes, values, labels, params,
+                                                  state.weights, None, seed, t)
         seeds.append(tree_seed)
         trees.append(tree)
 
         height = tree_height(tree)
+        # each attribute's shallowest tested level (root = 1), read off the split nodes
+        splits = tree.feature >= 0
+        shallowest = np.full(d, never)
+        np.minimum.at(shallowest, tree.feature[splits], tree.depth[splits] + 1)
         for attr in range(d):
-            if attr in tested:
-                level = min(tested[attr], level_cap)
+            if shallowest[attr] != never:
+                level = min(int(shallowest[attr]), level_cap)
                 lo, hi = weight_range(level, rho)
                 w = float(rng.uniform(lo, hi))
                 if w <= 0.0:
@@ -518,15 +506,8 @@ def forest_pa_fit(ds: Dataset, rows=None, n_trees: int = 100,
                   oob_error=None, subspace_size=None, attribute_weights=state)
 
 
-def forest_predict(forest: Forest, row) -> np.ndarray:
-    """Arithmetic mean of the member trees' leaf distributions: a batch of one."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (forest.n_features,):
-        raise InputError(f"row has {row.size} values, forest expects {forest.n_features}")
-    return forest_predict_batch(forest, row[None])[0]
-
-
 def forest_predict_batch(forest: Forest, rows) -> np.ndarray:
+    """Arithmetic mean of the member trees' leaf distributions for each row."""
     rows = np.asarray(rows, dtype=np.float64)
     acc = np.zeros((rows.shape[0], forest.n_classes), dtype=np.float64)
     for tree in forest.trees:
@@ -552,7 +533,7 @@ def _tree_to_doc(tree: DecisionTree) -> dict:
 def _field_array(values, kinds, key) -> np.ndarray:
     # type(v), not isinstance: JSON true and false load as bool, an int subclass
     if not all(type(v) in kinds for v in values):
-        raise InputError(f"model tree {key!r} values have the wrong JSON type")
+        raise InputError(f"model {key!r} values have the wrong JSON type")
     return np.array(values, dtype=np.float64 if float in kinds else np.int64)
 
 
@@ -634,15 +615,29 @@ def model_from_doc(doc: dict):
 
 
 def _forest_from_doc(doc: dict, kind: str) -> Forest:
+    """The forest's trees, then its own fields: one bootstrap seed per tree,
+    an out-of-bag error and a subspace size that are null or in range, and
+    attribute weights that list one entry per feature."""
     trees = [_tree_from_doc(t) for t in doc["trees"]]
     if len({(t.n_features, t.n_classes) for t in trees}) != 1:
         raise InputError("model forest needs one or more trees of equal feature and class counts")
+    d = trees[0].n_features
+    seeds = _field_array(doc["bootstrap_seeds"], (int,), "bootstrap_seeds")
+    if seeds.shape != (len(trees),):
+        raise InputError(f"model forest needs one bootstrap seed per tree, {len(trees)} in all")
+    for key, kinds, low, high in (("oob_error", (int, float), 0, 1),
+                                  ("subspace_size", (int,), 1, d)):
+        value = doc.get(key)
+        if value is not None and not low <= _field_array([value], kinds, key)[0] <= high:
+            raise InputError(f"model forest {key} must be null or in [{low}, {high}]")
     spec = doc.get("attribute_weights")
     aw = None if spec is None else AttributeWeights(
-        np.array(spec["weights"], dtype=np.float64),
-        np.array(spec["last_level"], dtype=np.int64),
-        np.array(spec["increments"], dtype=np.float64))
-    return Forest(trees=trees, kind=kind, bootstrap_seeds=list(doc["bootstrap_seeds"]),
+        *(_field_array(spec[key], kinds, f"attribute_weights.{key}")
+          for key, kinds in (("weights", (int, float)), ("last_level", (int,)),
+                             ("increments", (int, float)))))
+    if aw is not None and any(a.shape != (d,) for a in vars(aw).values()):
+        raise InputError(f"model forest attribute weights must list {d} entries each")
+    return Forest(trees=trees, kind=kind, bootstrap_seeds=seeds.tolist(),
                   oob_error=doc.get("oob_error"), subspace_size=doc.get("subspace_size"),
                   attribute_weights=aw)
 

@@ -271,6 +271,40 @@ class TestEvaluate:
         assert "out of range" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    def test_subset_order_does_not_change_result(self, artifact_dir, tmp_path):
+        subset = tmp_path / "subset.txt"
+        subset.write_text("4,0,3,1\n", encoding="utf-8")
+        reports = []
+        for name, choice in (("file", ["--subset-file", str(subset)]),
+                             ("list", ["--features", "1,3,0,4,3"])):
+            out = str(tmp_path / name)
+            assert main(["evaluate", "--input", artifact_dir, *choice,
+                         "--classifiers", "c45,rf", "--n-trees", "5", "--k", "3",
+                         "--seed", "3", "--out", out]) == 0
+            report = without_run_varying(read_json(os.path.join(out, "report.json")))
+            assert report["selection"].pop("selector") == name
+            assert report["selection"]["selected"] == [0, 1, 3, 4]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_thread_count_below_one_exit_code(self, artifact_dir, tmp_path, capsys,
+                                              monkeypatch, source, value):
+        argv = ["evaluate", "--input", artifact_dir, "--classifiers", "rf",
+                "--n-trees", "2", "--k", "3", "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv.append(f"--threads={value}")
+        elif source == "config":
+            config = tmp_path / "threads.conf"
+            config.write_text(f"threads = {value}\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        else:
+            monkeypatch.setenv("IDSFORGE_THREADS", value)
+        assert main(argv) == 2
+        assert "thread count must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_config_file_with_flag_override(self, artifact_dir, tmp_path):
         config = tmp_path / "exp.conf"
         config.write_text("k = 3\nn-trees = 2\nclassifiers = c45\nseed = 5\n",

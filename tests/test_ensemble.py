@@ -221,7 +221,8 @@ class TestVoteEnsemble:
         for rule in ALL_RULES:
             ens = VoteEnsemble(members=[tree], rule=rule)
             row = ds.features[7]
-            assert ensemble_predict(ens, row).label == int(np.argmax(tree.predict(row)))
+            assert ensemble_predict(ens, row).label == int(np.argmax(
+                tree.predict_batch(row[None])[0]))
 
     def test_batch_agrees_with_single_row(self):
         ds = make_blobs(seed=3, n=80, d=4)
@@ -232,8 +233,8 @@ class TestVoteEnsemble:
             labels, dist = ensemble_predict_batch(ens, ds.features[:10])
             for i in range(10):
                 row = ds.features[i]
-                label, expected = oracle_combine(np.array([m.predict(row) for m in members]),
-                                                 rule)
+                label, expected = oracle_combine(
+                    np.array([m.predict_batch(row[None])[0] for m in members]), rule)
                 assert labels[i] == label
                 assert dist[i].tobytes() == expected.tobytes()
                 single = ensemble_predict(ens, row)

@@ -23,13 +23,10 @@ class MajorityModel:
         self.n_classes = n_classes
         self.winner = winner
 
-    def predict(self, row):
-        dist = np.full(self.n_classes, 0.1 / (self.n_classes - 1))
-        dist[self.winner] = 0.9
-        return dist
-
     def predict_batch(self, rows):
-        return np.tile(self.predict(rows[0]), (len(rows), 1))
+        dist = np.full((len(rows), self.n_classes), 0.1 / (self.n_classes - 1))
+        dist[:, self.winner] = 0.9
+        return dist
 
 
 class TestComputeMetrics:

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from idsforge.errors import InputError
 from idsforge.trees import (DecisionTree, Forest, TreeParams, _best_split,
                             _value_codes, c45_fit,
-                            entropy, forest_pa_fit, forest_predict,
-                            forest_predict_batch, gain_ratio, load_model,
-                            model_from_doc, model_to_doc, rf_fit, save_model,
-                            split_info, tree_height, tree_predict,
-                            tree_predict_batch, weight_increment, weight_range)
+                            entropy, forest_pa_fit, forest_predict_batch,
+                            gain_ratio, load_model, model_from_doc,
+                            model_to_doc, rf_fit, save_model, split_info,
+                            tree_height, tree_predict_batch, weight_increment,
+                            weight_range)
 
 from conftest import DATA_DIR, make_blobs, make_dataset, make_tied_dataset
 
@@ -334,7 +334,7 @@ class TestTreePredict:
     def test_single_leaf_distribution(self):
         ds = make_dataset([[0.2], [0.4], [0.6]], [1, 1, 0])
         tree = c45_fit(ds, rows=[0, 1])
-        dist = tree_predict(tree, [0.77])
+        dist = tree_predict_batch(tree, [[0.77]])[0]
         # Laplace smoothing over 2 rows of class 1: (0+1)/(2+2), (2+1)/(2+2)
         assert dist == pytest.approx([0.25, 0.75])
 
@@ -345,7 +345,7 @@ class TestTreePredict:
         ds = make_dataset(feats, labels)
         tree = c45_fit(ds, params=TreeParams(min_leaf=1, min_gain=0.0))
         for i in range(50):
-            assert np.argmax(tree_predict(tree, feats[i])) == labels[i]
+            assert np.argmax(tree_predict_batch(tree, feats[i:i + 1])[0]) == labels[i]
 
     def test_distributions_sum_to_one(self):
         rng = np.random.default_rng(9)
@@ -359,7 +359,7 @@ class TestTreePredict:
         ds = make_dataset([[0.0, 1.0], [1.0, 0.0]], [0, 1])
         tree = c45_fit(ds)
         with pytest.raises(InputError):
-            tree_predict(tree, [0.5])
+            tree_predict_batch(tree, [[0.5]])
 
     @pytest.mark.parametrize("kind", ["c45", "rf", "forest_pa", "chain"])
     def test_batch_matches_oracle_walk_bit_for_bit(self, kind):
@@ -379,7 +379,7 @@ class TestTreePredict:
             expected = np.array([tree.value[oracle_leaf(tree, row)] for row in probes])
             assert tree_predict_batch(tree, probes).tobytes() == expected.tobytes()
             for row, dist in zip(probes[::25], expected[::25]):
-                assert tree_predict(tree, row).tobytes() == dist.tobytes()
+                assert tree_predict_batch(tree, row[None])[0].tobytes() == dist.tobytes()
 
 
 class TestRandomForest:
@@ -417,6 +417,12 @@ class TestRandomForest:
         one = rf_fit(ds, n_trees=12, seed=9, threads=1)
         four = rf_fit(ds, n_trees=12, seed=9, threads=4)
         assert model_to_doc(one) == model_to_doc(four)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, threads):
+        ds = make_blobs(seed=2, n=40, d=3)
+        with pytest.raises(InputError, match="at least one thread"):
+            rf_fit(ds, n_trees=2, threads=threads)
 
 
 class TestForestPA:
@@ -499,9 +505,8 @@ class TestForestPredict:
     def test_single_tree_forest_matches_tree(self):
         ds = make_blobs(seed=5, n=90, d=5)
         forest = rf_fit(ds, n_trees=1, seed=0)
-        row = ds.features[3]
-        assert np.array_equal(forest_predict(forest, row),
-                              tree_predict(forest.trees[0], row))
+        row = ds.features[3:4]
+        assert np.array_equal(forest.predict_batch(row), forest.trees[0].predict_batch(row))
 
     def test_single_row_matches_oracle_mean_bit_for_bit(self):
         ds = make_blobs(seed=8, n=120, d=4, spread=0.4)
@@ -514,12 +519,12 @@ class TestForestPredict:
                     acc += tree.value[oracle_leaf(tree, row)]
                 expected = acc / len(forest.trees)
                 assert dist.tobytes() == expected.tobytes()
-                assert forest_predict(forest, row).tobytes() == expected.tobytes()
+                assert forest_predict_batch(forest, row[None])[0].tobytes() == expected.tobytes()
 
     def test_mean_of_two_votes(self):
         forest = Forest([leaf_tree([1.0, 0.0], 2), leaf_tree([0.0, 1.0], 2)],
                         "random_forest", [0, 1])
-        assert forest_predict(forest, [0.0, 0.0]) == pytest.approx([0.5, 0.5])
+        assert forest_predict_batch(forest, [[0.0, 0.0]])[0] == pytest.approx([0.5, 0.5])
 
     def test_distributions_sum_to_one(self):
         ds = make_blobs(seed=7, n=120, d=6)
@@ -549,6 +554,19 @@ MALFORMED = {
     "threshold as a string": ("c45", lambda doc: doc["nodes"][0].update(threshold="0.5")),
     "forest trees of different widths": ("forest_pa", lambda doc: doc["trees"][1].update(
         n_features=doc["trees"][1]["n_features"] + 1)),
+    "attribute weights cut short": ("forest_pa", lambda doc: doc["attribute_weights"].update(
+        weights=doc["attribute_weights"]["weights"][:2])),
+    "attribute weight as a string": ("forest_pa", lambda doc: doc["attribute_weights"][
+        "weights"].__setitem__(0, "0.5")),
+    "last level not an integer": ("forest_pa", lambda doc: doc["attribute_weights"][
+        "last_level"].__setitem__(0, 1.7)),
+    "bootstrap seeds as a string": ("forest_pa", lambda doc: doc.update(bootstrap_seeds="abc")),
+    "one bootstrap seed short": ("random_forest", lambda doc: doc["bootstrap_seeds"].pop()),
+    "oob error as a string": ("random_forest", lambda doc: doc.update(oob_error="x")),
+    "oob error above 1": ("random_forest", lambda doc: doc.update(oob_error=1.5)),
+    "subspace size negative": ("random_forest", lambda doc: doc.update(subspace_size=-4)),
+    "subspace size above the feature count": ("random_forest", lambda doc: doc.update(
+        subspace_size=doc["trees"][0]["n_features"] + 1)),
 }
 
 
