@@ -429,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="properties-style config file; flags win")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="random seed (default 0)")
-        p.add_argument("--threads", type=int,
-                       help="worker threads (default: IDSFORGE_THREADS or machine parallelism)")
 
     def selection(p):
         p.add_argument("--selector", choices=SELECTORS)
@@ -454,6 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="cross-validate classifiers and their ensemble")
     common(p)
+    p.add_argument("--threads", type=int,
+                   help="worker threads (default: IDSFORGE_THREADS or machine parallelism)")
     p.add_argument("--input", help="dataset artifact directory")
     selection(p)
     p.add_argument("--subset-file", help="subset.json or subset.txt from 'select'")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import os
@@ -18,6 +19,9 @@ NONFINITE_TOKENS = frozenset({"Infinity", "-Infinity", "NaN"})
 _ZERO_FILLED = dict.fromkeys(("", *NONFINITE_TOKENS), "0")
 
 ARTIFACT_VERSION = 1
+# Rows of dataset.csv joined at once. A block holds one pointer per cell into
+# its column's spellings; the writer keeps nothing per cell beyond one block.
+_WRITE_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -454,19 +458,43 @@ def decode_symbol(meta: FeatureMeta, code: float) -> str:
     raise InputError(f"code {code} unknown for feature {meta.name!r}")
 
 
+def _label_spellings(class_names, alone: bool) -> list[str]:
+    """Each class name as csv.writer writes it as the last field of a row, or
+    as a row's only field when alone: quoted when it holds a comma, a quote
+    or a line break, and "" as nothing unless alone."""
+    spelled = []
+    for name in class_names:
+        buf = io.StringIO()
+        csv.writer(buf).writerow([name] if alone else [0, name])
+        spelled.append(buf.getvalue()[0 if alone else 2:-2])
+    return spelled
+
+
 def write_dataset_artifact(ds: Dataset, out_dir, report: PreprocessReport | None = None,
                            label_name: str = "label") -> None:
-    """Write the canonical dataset artifact: dataset.csv plus a JSON sidecar."""
+    """Write the canonical dataset artifact: dataset.csv plus a JSON sidecar.
+
+    dataset.csv holds the bytes csv.writer writes for each row of Python
+    floats and class name, but each distinct value of a column is spelled
+    once: distinct by bits, so -0.0 keeps its own spelling.
+    """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "dataset.csv")
+    columns = [column.view(np.int64) for column in ds.features.T]
+    distinct = [np.unique(bits) for bits in columns]
+    # csv writes a Python float as its repr, the shortest exact spelling.
+    spellings = [np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+                 for bits in distinct]
+    labels = np.array(_label_spellings(ds.class_names, alone=not columns), dtype=object)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.feature_names + [label_name])
-        # csv writes a Python float as its repr, the shortest exact spelling.
-        for values, label in zip(ds.features, ds.labels.tolist()):
-            row = values.tolist()
-            row.append(ds.class_names[label])
-            writer.writerow(row)
+        csv.writer(fh).writerow(ds.feature_names + [label_name])
+        for start in range(0, ds.n_rows, _WRITE_BLOCK_ROWS):
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            cells = [spelled[np.searchsorted(values, bits[block])].tolist()
+                     for spelled, values, bits in zip(spellings, distinct, columns)]
+            cells.append(labels[ds.labels[block]].tolist())
+            fh.write("\r\n".join(map(",".join, zip(*cells))))
+            fh.write("\r\n")
     sidecar = {
         "version": ARTIFACT_VERSION,
         "label_name": label_name,
@@ -539,7 +567,10 @@ def read_dataset_artifact(path) -> Dataset:
     features = np.empty((raw.n_rows, len(meta)), dtype=np.float64)
     feature_js = [j for j in range(raw.n_columns) if j != raw.label_column]
     for out_j, j in enumerate(feature_js):
-        features[:, out_j] = _parse_numeric(raw.columns[j], raw.column_names[j])
+        # one parse per distinct token; the first bad token in first-appearance
+        # order is the first bad cell in row order
+        tokens, codes = _first_appearance_codes(raw.columns[j])
+        features[:, out_j] = _parse_numeric(tokens, raw.column_names[j])[codes]
     tokens, codes = _first_appearance_codes(raw.columns[raw.label_column])
     class_index = {name: i for i, name in enumerate(class_names)}
     unknown = [tok for tok in tokens if tok not in class_index]

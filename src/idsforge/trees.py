@@ -617,7 +617,7 @@ def model_from_doc(doc: dict):
 def _forest_from_doc(doc: dict, kind: str) -> Forest:
     """The forest's trees, then its own fields: one bootstrap seed per tree,
     an out-of-bag error and a subspace size that are null or in range, and
-    attribute weights that list one entry per feature."""
+    attribute weights that list one entry per feature, each in range."""
     trees = [_tree_from_doc(t) for t in doc["trees"]]
     if len({(t.n_features, t.n_classes) for t in trees}) != 1:
         raise InputError("model forest needs one or more trees of equal feature and class counts")
@@ -635,8 +635,16 @@ def _forest_from_doc(doc: dict, kind: str) -> Forest:
         *(_field_array(spec[key], kinds, f"attribute_weights.{key}")
           for key, kinds in (("weights", (int, float)), ("last_level", (int,)),
                              ("increments", (int, float)))))
-    if aw is not None and any(a.shape != (d,) for a in vars(aw).values()):
-        raise InputError(f"model forest attribute weights must list {d} entries each")
+    if aw is not None:
+        if any(a.shape != (d,) for a in vars(aw).values()):
+            raise InputError(f"model forest attribute weights must list {d} entries each")
+        # the ranges forest_pa_fit produces; NaN lies outside each of them
+        for key, inside, span in (
+                ("weights", (0 < aw.weights) & (aw.weights <= 1), "in (0, 1]"),
+                ("last_level", aw.last_level >= 0, "at least 0"),
+                ("increments", (0 <= aw.increments) & (aw.increments <= 1), "in [0, 1]")):
+            if not inside.all():
+                raise InputError(f"model forest attribute_weights.{key} must be {span}")
     return Forest(trees=trees, kind=kind, bootstrap_seeds=seeds.tolist(),
                   oob_error=doc.get("oob_error"), subspace_size=doc.get("subspace_size"),
                   attribute_weights=aw)

@@ -305,6 +305,18 @@ class TestEvaluate:
         assert "thread count must be at least 1" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("command", [
+        ["preprocess", "--input", "in.csv", "--label-column", "class"],
+        ["select", "--input", "prep", "--selector", "ig", "--top", "3"],
+        ["stats", "--input", "table.csv"],
+    ])
+    def test_threads_flag_only_on_evaluate(self, tmp_path, capsys, command):
+        # only evaluate runs worker threads; elsewhere the flag is an argparse error
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--threads", "2", "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, artifact_dir, tmp_path):
         config = tmp_path / "exp.conf"
         config.write_text("k = 3\nn-trees = 2\nclassifiers = c45\nseed = 5\n",
@@ -458,7 +470,7 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "idsforge", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, encoding="utf-8",
         )
         assert proc.returncode == 0
         assert "idsforge" in proc.stdout
@@ -472,7 +484,7 @@ class TestEntryPoint:
                 [sys.executable, "-m", "idsforge", "evaluate",
                  "--input", artifact_dir, "--classifiers", "rf",
                  "--n-trees", "4", "--k", "3", "--seed", "2", "--out", out],
-                capture_output=True, text=True, env=env,
+                capture_output=True, text=True, encoding="utf-8", env=env,
             )
             assert proc.returncode == 0, proc.stderr
         a = read_json(os.path.join(out_a, "report.json"))

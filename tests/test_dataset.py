@@ -1,10 +1,15 @@
+import csv
+import os
+import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from idsforge.cli import main
 from idsforge.dataset import (Dataset, FeatureMeta, RawTable, decode_symbol,
                               encode, filter_table, load_csv, normalize,
                               read_dataset_artifact, select_features,
@@ -272,7 +277,139 @@ class TestStratifiedFolds:
             assert per_class.max() - per_class.min() <= 1
 
 
+def oracle_write_rows(ds, path, label_name):
+    """dataset.csv by the per-row csv.writer loop that write_dataset_artifact
+    replaced with one spelling per distinct value of a column."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ds.feature_names + [label_name])
+        # csv writes a Python float as its repr, the shortest exact spelling.
+        for values, label in zip(ds.features, ds.labels.tolist()):
+            row = values.tolist()
+            row.append(ds.class_names[label])
+            writer.writerow(row)
+
+
+# Spellings at the edges of repr and of csv quoting: signed zeros, the
+# smallest subnormal, the largest double, a sum with a 17-digit repr, and
+# class names that are empty, hold a delimiter, a quote or a line break, or
+# start with a space.
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+EDGE_NAMES = ["", "a,b", 'q"uote', "new\nline", "cr\rx", " lead"]
+
+
+@st.composite
+def artifact_datasets(draw, min_features=0):
+    """Datasets of 1-30 rows, min_features-4 feature columns and 1-4 classes,
+    every class present."""
+    d = draw(st.integers(min_features, 4))
+    names = draw(st.lists(
+        st.sampled_from(EDGE_NAMES)
+        | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                  max_size=4),
+        min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(len(names), 30))
+    values = st.sampled_from(EDGE_VALUES) | st.sampled_from([-v for v in EDGE_VALUES]) | \
+        st.floats(allow_nan=False, allow_infinity=False)
+    features = draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(0, len(names) - 1), min_size=n - len(names),
+                          max_size=n - len(names)))
+    labels = draw(st.permutations(list(range(len(names))) + extra))
+    return make_dataset(np.array(features, dtype=np.float64).reshape(n, d), labels,
+                        class_names=names)
+
+
+EDGE_DATASET = make_dataset([[v, -v] for v in EDGE_VALUES] + [[1.0, 2.0]],
+                            list(range(len(EDGE_NAMES))), class_names=EDGE_NAMES)
+
+
+def read_rows(art):
+    with open(os.path.join(art, "dataset.csv"), newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def write_rows(art, rows):
+    with open(os.path.join(art, "dataset.csv"), "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def respellings(value):
+    """Other spellings of a float that parse to the same bits: a zero added to
+    the mantissa (0.5 -> 0.50), seventeen significant digits in upper-case
+    exponent form, and a leading plus sign."""
+    mantissa, _, exponent = repr(value).partition("e")
+    padded = mantissa + ("0" if "." in mantissa else ".0") + ("e" + exponent if exponent else "")
+    spelled = [padded, "%.16E" % value]
+    if not mantissa.startswith("-"):
+        spelled.append("+" + repr(value))
+    return spelled
+
+
+BAD_NUMBERS = ["abc", "", "nan", "inf", "1e999"]
+
+
 class TestArtifact:
+    @settings(max_examples=150, deadline=None)
+    @given(ds=artifact_datasets())
+    @example(ds=EDGE_DATASET)
+    def test_writer_matches_per_row_oracle(self, ds):
+        with tempfile.TemporaryDirectory() as work:
+            write_dataset_artifact(ds, work, label_name="class")
+            oracle = os.path.join(work, "oracle.csv")
+            oracle_write_rows(ds, oracle, "class")
+            with open(os.path.join(work, "dataset.csv"), "rb") as got, \
+                    open(oracle, "rb") as expected:
+                assert got.read() == expected.read()
+            back = read_dataset_artifact(work)
+        assert np.array_equal(back.features.view(np.int64), ds.features.view(np.int64))
+        assert np.array_equal(back.labels, ds.labels)
+        assert back.class_names == ds.class_names
+
+    @settings(max_examples=100, deadline=None)
+    @given(ds=artifact_datasets(min_features=1), data=st.data())
+    def test_broken_artifact_rejected(self, ds, data):
+        """One bad number, a cell added to or removed from a row, or a label
+        the sidecar lacks: reading raises InputError and select exits 2."""
+        with tempfile.TemporaryDirectory() as work:
+            art = os.path.join(work, "art")
+            write_dataset_artifact(ds, art)
+            rows = read_rows(art)
+            row = rows[data.draw(st.integers(1, ds.n_rows))]
+            defect = data.draw(st.sampled_from(["number", "added", "removed", "label"]))
+            if defect == "number":
+                j = data.draw(st.integers(0, ds.n_features - 1))
+                row[j] = data.draw(st.sampled_from(BAD_NUMBERS))
+                message = f"column {re.escape(repr(ds.feature_names[j]))}"
+            elif defect == "added":
+                row.insert(data.draw(st.integers(0, len(row))), data.draw(st.sampled_from(
+                    ["0.5", ""])))
+                message = "ragged row"
+            elif defect == "removed":
+                del row[data.draw(st.integers(0, len(row) - 1))]
+                message = "ragged row"
+            else:
+                # longer than every class name, so none of them
+                row[-1] = "".join(ds.class_names) + "?"
+                message = "missing from sidecar class names"
+            write_rows(art, rows)
+            with pytest.raises(InputError, match=message):
+                read_dataset_artifact(art)
+            assert main(["select", "--input", art, "--selector", "none",
+                         "--out", os.path.join(work, "sel")]) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=artifact_datasets(min_features=1), data=st.data())
+    def test_respelled_number_reads_same_bits(self, ds, data):
+        with tempfile.TemporaryDirectory() as work:
+            write_dataset_artifact(ds, work)
+            rows = read_rows(work)
+            r = data.draw(st.integers(1, ds.n_rows))
+            j = data.draw(st.integers(0, ds.n_features - 1))
+            rows[r][j] = data.draw(st.sampled_from(respellings(ds.features[r - 1, j].item())))
+            write_rows(work, rows)
+            back = read_dataset_artifact(work)
+        assert np.array_equal(back.features.view(np.int64), ds.features.view(np.int64))
+
     def test_round_trip(self, tmp_path):
         raw = RawTable(
             ["proto", "v", "class"],

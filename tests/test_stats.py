@@ -202,7 +202,7 @@ class TestNemenyi:
 class TestMetricTableIO:
     def test_named_rows(self, tmp_path):
         path = tmp_path / "table.csv"
-        path.write_text("dataset,algo1,algo2\nD1,0.9,0.8\nD2,0.7,0.75\n")
+        path.write_text("dataset,algo1,algo2\nD1,0.9,0.8\nD2,0.7,0.75\n", encoding="utf-8")
         values, algorithms, datasets = load_metric_table(str(path))
         assert algorithms == ["algo1", "algo2"]
         assert datasets == ["D1", "D2"]
@@ -210,13 +210,13 @@ class TestMetricTableIO:
 
     def test_unnamed_rows(self, tmp_path):
         path = tmp_path / "table.csv"
-        path.write_text("algo1,algo2\n0.9,0.8\n0.7,0.75\n")
+        path.write_text("algo1,algo2\n0.9,0.8\n0.7,0.75\n", encoding="utf-8")
         values, algorithms, datasets = load_metric_table(str(path))
         assert algorithms == ["algo1", "algo2"]
         assert datasets == ["D1", "D2"]
 
     def test_bad_cell_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
-        path.write_text("dataset,a,b\nD1,oops,0.5\n")
+        path.write_text("dataset,a,b\nD1,oops,0.5\n", encoding="utf-8")
         with pytest.raises(InputError):
             load_metric_table(str(path))

@@ -560,6 +560,20 @@ MALFORMED = {
         "weights"].__setitem__(0, "0.5")),
     "last level not an integer": ("forest_pa", lambda doc: doc["attribute_weights"][
         "last_level"].__setitem__(0, 1.7)),
+    "attribute weight negative": ("forest_pa", lambda doc: doc["attribute_weights"][
+        "weights"].__setitem__(0, -1.0)),
+    "attribute weight zero": ("forest_pa", lambda doc: doc["attribute_weights"][
+        "weights"].__setitem__(0, 0.0)),
+    "attribute weight above 1": ("forest_pa", lambda doc: doc["attribute_weights"][
+        "weights"].__setitem__(0, 1.5)),
+    "attribute weight NaN": ("forest_pa", lambda doc: doc["attribute_weights"][
+        "weights"].__setitem__(0, math.nan)),
+    "last level negative": ("forest_pa", lambda doc: doc["attribute_weights"][
+        "last_level"].__setitem__(1, -5)),
+    "increment negative": ("forest_pa", lambda doc: doc["attribute_weights"][
+        "increments"].__setitem__(0, -0.25)),
+    "increment above 1": ("forest_pa", lambda doc: doc["attribute_weights"][
+        "increments"].__setitem__(0, 1.5)),
     "bootstrap seeds as a string": ("forest_pa", lambda doc: doc.update(bootstrap_seeds="abc")),
     "one bootstrap seed short": ("random_forest", lambda doc: doc["bootstrap_seeds"].pop()),
     "oob error as a string": ("random_forest", lambda doc: doc.update(oob_error="x")),
