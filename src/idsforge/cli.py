@@ -66,7 +66,7 @@ def _load_config(path) -> dict[str, str]:
                     raise InputError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = line.split("=", 1)
                 config[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     return config
 
@@ -160,7 +160,7 @@ def _read_subset_file(path) -> list[int]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read subset file {path}: {exc}") from exc
     if not path.endswith(".json"):
         return _parse_feature_list(text)

@@ -22,38 +22,54 @@ ARTIFACT_VERSION = 1
 # Rows of dataset.csv joined at once. A block holds one pointer per cell into
 # its column's spellings; the writer keeps nothing per cell beyond one block.
 _WRITE_BLOCK_ROWS = 8192
+# Rows of input read before their cell codes move from a list of Python ints
+# into an int64 array, so no per-cell pointer list outlives one block.
+_READ_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
 class RawTable:
-    """A parsed CSV held column by column, every cell kept as text.
+    """A parsed CSV held column by column, every column dictionary-coded.
 
-    columns[j] holds the tokens of column j in row order. filter_table hands
-    unchanged column lists on to the table it returns, so no step modifies
-    them in place.
+    tokens[j] lists the distinct tokens of column j in order of first
+    appearance, each present in the column; codes[j] is an int64 array with
+    row i's index into tokens[j]. Cell i of column j is tokens[j][codes[j][i]].
+    filter_table hands unchanged columns on to the table it returns, so no
+    step modifies them in place.
     """
 
     column_names: list[str]
-    columns: list[list[str]]
+    tokens: list[list[str]]
+    codes: list[np.ndarray]
     label_column: int
 
     def __post_init__(self):
+        object.__setattr__(self, "codes", [np.asarray(c, dtype=np.int64) for c in self.codes])
         width = len(self.column_names)
-        if len(self.columns) != width:
-            raise InputError(f"{len(self.columns)} columns for {width} column names")
+        if len(self.tokens) != width or len(self.codes) != width:
+            raise InputError(f"{len(self.tokens)} token lists and {len(self.codes)} code "
+                             f"arrays for {width} column names")
         if not 0 <= self.label_column < width:
             raise InputError(f"label column index {self.label_column} out of range for {width} columns")
-        for name, column in zip(self.column_names, self.columns):
-            if len(column) != self.n_rows:
-                raise InputError(f"column {name!r} has {len(column)} cells, expected {self.n_rows}")
+        for name, codes in zip(self.column_names, self.codes):
+            if codes.shape != (self.n_rows,):
+                raise InputError(f"column {name!r} has {len(codes)} cells, expected {self.n_rows}")
 
     @property
     def n_rows(self) -> int:
-        return len(self.columns[self.label_column])
+        return len(self.codes[self.label_column])
 
     @property
     def n_columns(self) -> int:
         return len(self.column_names)
+
+
+class _FirstAppearanceCodes(dict):
+    """Token -> code; a token not seen before gets the next code, 0, 1, ..."""
+
+    def __missing__(self, token):
+        self[token] = code = len(self)
+        return code
 
 
 @dataclass(frozen=True)
@@ -183,41 +199,45 @@ def load_csv(path, label_column, has_header: bool = True) -> RawTable:
     """Read an RFC-4180 style UTF-8 CSV into a RawTable.
 
     A leading UTF-8 byte-order mark is skipped, so it never becomes part of
-    the first header name.
+    the first header name. Each cell is coded at the one lookup in its
+    column's dict of distinct tokens.
 
     label_column is a column name (requires a header) or a 0-based index.
-    Raises InputError for unreadable files, ragged rows (naming the offending
-    line) and missing label columns.
+    Raises InputError for unreadable or non-UTF-8 files, ragged rows (naming
+    the offending line) and missing label columns.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            rows = (row for row in reader if row)
+            first = next(rows, None)
+            if first is None:
+                raise InputError(f"{path} is empty")
+            if has_header:
+                header = first
+            else:
+                header = [f"col_{j}" for j in range(len(first))]
+                rows = itertools.chain([first], rows)
+            width = len(header)
+            distinct = [_FirstAppearanceCodes() for _ in header]
+            cells: list[int] = []
+            blocks = []
+            while True:
+                for row in itertools.islice(rows, _READ_BLOCK_ROWS):
+                    if len(row) != width:
+                        raise InputError(f"ragged row at line {reader.line_num}: "
+                                         f"{len(row)} cells, expected {width}")
+                    cells.extend(map(dict.__getitem__, distinct, row))
+                if not cells:
+                    break
+                blocks.append(np.fromiter(cells, dtype=np.int64, count=len(cells)))
+                cells.clear()
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        rows = (row for row in reader if row)
-        first = next(rows, None)
-        if first is None:
-            raise InputError(f"{path} is empty")
-        if has_header:
-            header = first
-        else:
-            header = [f"col_{j}" for j in range(len(first))]
-            rows = itertools.chain([first], rows)
-        width = len(header)
-        columns = [[] for _ in header]
-        # One string object per distinct token of a column: the table then
-        # costs a pointer per cell rather than a string per cell.
-        distinct = [{} for _ in header]
-        for row in rows:
-            if len(row) != width:
-                raise InputError(
-                    f"ragged row at line {reader.line_num}: {len(row)} cells, expected {width}"
-                )
-            # list.append returns None, so any() runs the appends to the end.
-            any(map(list.append, columns, map(dict.setdefault, distinct, row, row)))
+    matrix = np.concatenate(blocks or [np.empty(0, dtype=np.int64)]).reshape(-1, width)
     label = _resolve_label_column(header, label_column, has_header)
-    return RawTable(column_names=header, columns=columns, label_column=label)
+    return RawTable(column_names=header, tokens=[list(d) for d in distinct],
+                    codes=list(matrix.T), label_column=label)
 
 
 def _resolve_label_column(header, label_column, has_header):
@@ -247,38 +267,44 @@ def filter_table(raw: RawTable) -> tuple[RawTable, PreprocessReport]:
     column is never rewritten or dropped.
     """
     label_j = raw.label_column
-    if raw.n_rows and len(set(raw.columns[label_j])) < 2:
+    if raw.n_rows and len(raw.tokens[label_j]) < 2:
         raise InputError("label column is constant: dataset contains a single class")
 
     names: list[str] = []
-    columns: list[list[str]] = []
+    tokens: list[list[str]] = []
+    codes: list[np.ndarray] = []
     label_out = 0
     seen = {raw.column_names[label_j]}
     dropped_dup: list[str] = []
     dropped_const: list[str] = []
     missing = 0
     nonfinite = 0
-    for j, (name, column) in enumerate(zip(raw.column_names, raw.columns)):
+    for j, (name, column, coded) in enumerate(zip(raw.column_names, raw.tokens, raw.codes)):
         if j == label_j:
-            label_out = len(columns)
+            label_out = len(names)
         elif name in seen:
             dropped_dup.append(name)
             continue
         else:
             seen.add(name)
-            blanks = column.count("")
-            fills = sum(map(column.count, NONFINITE_TOKENS))
-            if blanks or fills:
-                column = list(map(_ZERO_FILLED.get, column, column))
-            missing += blanks
-            nonfinite += fills
+            if not _ZERO_FILLED.keys().isdisjoint(column):
+                counts = dict(zip(column, np.bincount(coded, minlength=len(column)).tolist()))
+                missing += counts.get("", 0)
+                nonfinite += sum(counts.get(t, 0) for t in NONFINITE_TOKENS)
+                # Old codes follow first appearance, so numbering the filled
+                # tokens in old-code order keeps first-appearance order.
+                filled = [_ZERO_FILLED.get(t, t) for t in column]
+                column = list(dict.fromkeys(filled))
+                renumber = dict(zip(column, itertools.count()))
+                coded = np.array([renumber[t] for t in filled], dtype=np.int64)[coded]
             if _is_constant(column, name):
                 dropped_const.append(name)
                 continue
         names.append(name)
-        columns.append(column)
+        tokens.append(column)
+        codes.append(coded)
 
-    if len(columns) == 1:
+    if len(names) == 1:
         raise InputError("no feature columns remain after filtering")
     report = PreprocessReport(
         dropped_constant_features=tuple(dropped_const),
@@ -288,15 +314,17 @@ def filter_table(raw: RawTable) -> tuple[RawTable, PreprocessReport]:
         rows_in=raw.n_rows,
         rows_out=raw.n_rows,
     )
-    return RawTable(column_names=names, columns=columns, label_column=label_out), report
+    return RawTable(column_names=names, tokens=tokens, codes=codes,
+                    label_column=label_out), report
 
 
 def _is_constant(tokens, name) -> bool:
-    distinct = set(tokens)
-    if len(distinct) < 2:
-        return len(distinct) == 1
+    """Whether a column with these distinct tokens holds one value: one token,
+    or tokens that all parse to the same finite number."""
+    if len(tokens) < 2:
+        return len(tokens) == 1
     try:
-        values = _parse_numeric(distinct, name)
+        values = _parse_numeric(tokens, name)
     except InputError:
         return False
     return values.min() == values.max()
@@ -312,13 +340,6 @@ def _parse_numeric(tokens, name) -> np.ndarray:
     if not np.isfinite(values).all():
         raise InputError(f"column {name!r} holds a non-finite value")
     return values
-
-
-def _first_appearance_codes(tokens) -> tuple[dict[str, int], np.ndarray]:
-    """Each distinct token's code, 0, 1, ... in order of first appearance,
-    and the code of every token."""
-    codes = dict(zip(dict.fromkeys(tokens), itertools.count()))
-    return codes, np.fromiter(map(codes.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
 
 def encode(raw: RawTable, normal_class_name: str | None = None) -> Dataset:
@@ -339,13 +360,13 @@ def encode(raw: RawTable, normal_class_name: str | None = None) -> Dataset:
     features = np.empty((raw.n_rows, len(feature_cols)), dtype=np.float64)
     meta: list[FeatureMeta] = []
     for out_j, j in enumerate(feature_cols):
-        name = raw.column_names[j]
-        symbol_codes, codes = _first_appearance_codes(raw.columns[j])
+        name, tokens, codes = raw.column_names[j], raw.tokens[j], raw.codes[j]
         try:
-            values = _parse_numeric(symbol_codes, name)[codes]
+            values = _parse_numeric(tokens, name)[codes]
             kind, symbol_codes = "numeric", None
         except InputError:
             kind, values = "symbolic", codes
+            symbol_codes = dict(zip(tokens, itertools.count()))
         features[:, out_j] = values
         meta.append(
             FeatureMeta(
@@ -357,13 +378,12 @@ def encode(raw: RawTable, normal_class_name: str | None = None) -> Dataset:
             )
         )
 
-    class_codes, labels = _first_appearance_codes(raw.columns[label_j])
-    class_names = list(class_codes)
+    class_names = list(raw.tokens[label_j])
     normal = _resolve_normal_class(class_names, normal_class_name)
     return Dataset(
         features=features,
         feature_meta=meta,
-        labels=labels,
+        labels=raw.codes[label_j],
         class_names=class_names,
         normal_class=normal,
     )
@@ -547,7 +567,7 @@ def read_dataset_artifact(path) -> Dataset:
     try:
         with open(meta_path, encoding="utf-8") as fh:
             sidecar = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read dataset sidecar {meta_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed dataset sidecar {meta_path}: {exc}") from exc
@@ -569,9 +589,8 @@ def read_dataset_artifact(path) -> Dataset:
     for out_j, j in enumerate(feature_js):
         # one parse per distinct token; the first bad token in first-appearance
         # order is the first bad cell in row order
-        tokens, codes = _first_appearance_codes(raw.columns[j])
-        features[:, out_j] = _parse_numeric(tokens, raw.column_names[j])[codes]
-    tokens, codes = _first_appearance_codes(raw.columns[raw.label_column])
+        features[:, out_j] = _parse_numeric(raw.tokens[j], raw.column_names[j])[raw.codes[j]]
+    tokens, codes = raw.tokens[raw.label_column], raw.codes[raw.label_column]
     class_index = {name: i for i, name in enumerate(class_names)}
     unknown = [tok for tok in tokens if tok not in class_index]
     if unknown:

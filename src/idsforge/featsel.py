@@ -120,11 +120,16 @@ class SelectionTrace:
 
 def _bin_column(x: np.ndarray, bins: int) -> np.ndarray:
     """Discretize one column: values pass through when there are few of them,
-    otherwise equal-frequency quantile bins."""
-    distinct = np.unique(x)
+    otherwise equal-frequency quantile bins.
+
+    The column is sorted once; quantiles depend only on order statistics, so
+    the sorted copy gives the same edges as the column itself.
+    """
+    ordered = np.sort(x)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     if distinct.size <= bins:
         return np.searchsorted(distinct, x).astype(np.int64)
-    edges = np.quantile(x, np.arange(1, bins) / bins)
+    edges = np.quantile(ordered, np.arange(1, bins) / bins)
     return np.searchsorted(edges, x, side="right").astype(np.int64)
 
 

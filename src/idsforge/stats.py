@@ -299,7 +299,7 @@ def load_metric_table(path):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read metric table {path}: {exc}") from exc
     if len(rows) < 2:
         raise InputError("metric table needs a header and at least one data row")

@@ -661,7 +661,7 @@ def load_model(path):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read model {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed model file {path}: {exc}") from exc

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from idsforge.dataset import Dataset, FeatureMeta, encode, filter_table, load_csv, normalize
+from idsforge.dataset import (Dataset, FeatureMeta, RawTable, encode, filter_table, load_csv,
+                              normalize)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -25,6 +26,22 @@ def make_dataset(features, labels, class_names=None, normal_class=0):
     ]
     return Dataset(features=features, feature_meta=meta, labels=labels,
                    class_names=class_names, normal_class=normal_class)
+
+
+def coded_table(column_names, columns, label_column):
+    """A RawTable from per-cell token lists, each column coded in order of
+    first appearance as load_csv codes it."""
+    tokens, codes = [], []
+    for column in columns:
+        index: dict[str, int] = {}
+        codes.append([index.setdefault(cell, len(index)) for cell in column])
+        tokens.append(list(index))
+    return RawTable(column_names, tokens, codes, label_column)
+
+
+def column_cells(raw, j):
+    """Column j of a RawTable as per-cell tokens."""
+    return [raw.tokens[j][code] for code in raw.codes[j].tolist()]
 
 
 def make_search_dataset(seed):

@@ -194,7 +194,8 @@ def test_criterion_7_nslkdd_end_to_end(tmp_path):
         keep = [j for j in range(raw.n_columns) if j != 42]
         from idsforge.dataset import RawTable
         raw = RawTable(column_names=[raw.column_names[j] for j in keep],
-                       columns=[raw.columns[j] for j in keep],
+                       tokens=[raw.tokens[j] for j in keep],
+                       codes=[raw.codes[j] for j in keep],
                        label_column=41)
     filtered, _ = filter_table(raw)
     ds = normalize(encode(filtered, normal_class_name="normal"))

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -524,6 +525,32 @@ def fuzz_tables(draw):
     return [names] + rows, label
 
 
+# Bytes spliced into a fuzzed file: nothing, bytes that are not UTF-8 (a stray
+# continuation byte, a truncated sequence, an encoded surrogate), a
+# byte-order mark, a NUL, or any three bytes.
+RAW_BYTES = st.sampled_from((b"", b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80",
+                             b"\xef\xbb\xbf", b"\x00")) | st.binary(max_size=3)
+# Config lines: comments, blanks, keys that preprocess or stats read, and
+# lines that do not parse.
+CONFIG_LINES = ("# note", "", "seed = 3", "seed = x", "alpha-list = 0.05,0.1",
+                "lower-is-better = yes", "normal-class = dos", "label-column = 0", "oops")
+
+
+def write_fuzzed(path, text, junk, at):
+    """Write text as UTF-8 with the bytes junk spliced in at byte offset at
+    (clipped to the length)."""
+    raw = text.encode("utf-8")
+    at = min(at, len(raw))
+    with open(path, "wb") as fh:
+        fh.write(raw[:at] + junk + raw[at:])
+
+
+def csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 # Metric table cells: non-finite and blank spellings, numbers, text.
 STATS_CELLS = ("", "nan", "NaN", "inf", "-inf", "0", "1", "2", "2.5", "-3", "1e308",
                "x", "D1")
@@ -541,6 +568,35 @@ def metric_tables(draw):
         width = n_columns + draw(st.sampled_from((0, 0, 0, -1, 1)))
         rows.append([draw(st.sampled_from(STATS_CELLS)) for _ in range(width)])
     return [header] + rows
+
+
+class TestNonUtf8:
+    """A file with a byte that is not UTF-8 exits 2, and the error names it."""
+
+    @pytest.mark.parametrize("kind", ["input", "sidecar", "config", "subset", "stats"])
+    def test_exit_code(self, kind, tmp_path, capsys):
+        csv_path = write_toy_csv(tmp_path)
+        prep = str(tmp_path / "prep")
+        assert main(["preprocess", "--input", csv_path, "--label-column", "class",
+                     "--out", prep]) == 0
+        bad = tmp_path / "bad.txt"
+        argv = {
+            "input": ["preprocess", "--input", str(bad), "--label-column", "class"],
+            "sidecar": ["select", "--input", prep, "--selector", "none"],
+            "config": ["select", "--input", prep, "--config", str(bad)],
+            "subset": ["evaluate", "--input", prep, "--subset-file", str(bad),
+                       "--classifiers", "c45", "--k", "2", "--threads", "1"],
+            "stats": ["stats", "--input", str(bad)],
+        }[kind]
+        if kind == "sidecar":
+            bad = tmp_path / "prep" / "dataset.meta.json"
+            text = bad.read_bytes()
+        else:
+            text = {"input": b"a,b,class\n1,2,x\n", "config": b"selector = none\n",
+                    "subset": b"0,1\n", "stats": MEAN_RANKS_CSV.encode("utf-8")}[kind]
+        bad.write_bytes(text[:5] + b"\xff" + text[5:])
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert os.path.basename(str(bad)) in capsys.readouterr().err
 
 
 class TestFuzz:
@@ -580,3 +636,24 @@ class TestFuzz:
             assert main(["evaluate", "--input", prep, *subset, "--classifiers", "c45",
                          "--k", "2", "--threads", "1",
                          "--out", os.path.join(work, "eval")]) in (0, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=fuzz_tables(), metrics=metric_tables(), mode=st.sampled_from(STATS_MODES),
+           config=st.lists(st.sampled_from(CONFIG_LINES), max_size=4),
+           target=st.sampled_from(["csv", "config", "stats"]), junk=RAW_BYTES,
+           at=st.integers(min_value=0, max_value=200))
+    def test_raw_bytes_exit_zero_or_two(self, table, metrics, mode, config, target, junk, at):
+        """Bytes that may not be UTF-8, spliced into the input CSV, the config
+        file or the stats table: preprocess and stats exit 0 or 2."""
+        rows, label = table
+        texts = {"csv": csv_text(rows), "config": "".join(line + "\n" for line in config),
+                 "stats": csv_text(metrics)}
+        with tempfile.TemporaryDirectory() as work:
+            paths = {name: os.path.join(work, name) for name in texts}
+            for name, text in texts.items():
+                write_fuzzed(paths[name], text, junk if name == target else b"", at)
+            config = ["--config", paths["config"]]
+            assert main(["preprocess", "--input", paths["csv"], "--label-column", label,
+                         *config, "--out", os.path.join(work, "prep")]) in (0, 2)
+            assert main(["stats", "--input", paths["stats"], *mode, *config,
+                         "--out", os.path.join(work, "stats")]) in (0, 2)

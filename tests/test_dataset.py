@@ -1,4 +1,6 @@
 import csv
+import io
+import itertools
 import os
 import re
 import tempfile
@@ -10,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idsforge.cli import main
-from idsforge.dataset import (Dataset, FeatureMeta, RawTable, decode_symbol,
-                              encode, filter_table, load_csv, normalize,
-                              read_dataset_artifact, select_features,
-                              stratified_folds, write_dataset_artifact)
+from idsforge.dataset import (NONFINITE_TOKENS, _ZERO_FILLED, Dataset, FeatureMeta,
+                              PreprocessReport, _parse_numeric, _resolve_label_column,
+                              _resolve_normal_class, decode_symbol, encode,
+                              filter_table, load_csv, normalize, read_dataset_artifact,
+                              select_features, stratified_folds, write_dataset_artifact)
 from idsforge.errors import InputError
 
-from conftest import make_dataset
+from conftest import column_cells, coded_table, make_dataset
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -73,7 +76,7 @@ class TestFilter:
         assert filtered.column_names.count("Fwd Header Length") == 1
         assert report.dropped_duplicate_features == ("Fwd Header Length",)
         # first occurrence kept: values 1,2,3
-        kept = filtered.columns[0]
+        kept = column_cells(filtered, 0)
         assert kept == ["1", "2", "3"]
 
     def test_constant_column_dropped(self, tmp_path):
@@ -88,7 +91,7 @@ class TestFilter:
             "Flow Packets/s,b,class\nInfinity,1,x\nNaN,2,y\n,3,x\n-Infinity,4,y\n7.5,5,x\n",
         )
         filtered, report = filter_table(load_csv(path, label_column="class"))
-        col = filtered.columns[filtered.column_names.index("Flow Packets/s")]
+        col = column_cells(filtered, filtered.column_names.index("Flow Packets/s"))
         assert col == ["0", "0", "0", "0", "7.5"]
         assert report.nonfinite_replaced == 3
         assert report.missing_replaced == 1
@@ -124,14 +127,14 @@ class TestFilter:
         raw = load_csv(path, label_column="class")
         filtered, report = filter_table(raw)
         assert report.rows_in == report.rows_out == 3
-        before = set(raw.columns[raw.label_column])
-        after = set(filtered.columns[filtered.label_column])
+        before = set(column_cells(raw, raw.label_column))
+        after = set(column_cells(filtered, filtered.label_column))
         assert before == after
 
 
 class TestEncode:
     def test_symbolic_first_appearance(self):
-        raw = RawTable(
+        raw = coded_table(
             column_names=["proto", "class"],
             columns=[["tcp", "udp", "icmp", "tcp"], ["a", "b", "a", "b"]],
             label_column=1,
@@ -141,41 +144,192 @@ class TestEncode:
         assert ds.feature_meta[0].symbol_codes == {"tcp": 0, "udp": 1, "icmp": 2}
 
     def test_numeric_column(self):
-        raw = RawTable(["v", "class"], [["1.5", "2"], ["a", "b"]], 1)
+        raw = coded_table(["v", "class"], [["1.5", "2"], ["a", "b"]], 1)
         ds = encode(raw)
         assert list(ds.features[:, 0]) == [1.5, 2.0]
         assert ds.feature_meta[0].original_kind == "numeric"
 
     def test_label_mapping(self):
-        raw = RawTable(["v", "class"], [["1", "2", "3"], ["normal", "dos", "normal"]], 1)
+        raw = coded_table(["v", "class"], [["1", "2", "3"], ["normal", "dos", "normal"]], 1)
         ds = encode(raw)
         assert ds.class_names == ["normal", "dos"]
         assert list(ds.labels) == [0, 1, 0]
         assert ds.normal_class == 0
 
     def test_mixed_column_becomes_symbolic(self):
-        raw = RawTable(["v", "class"], [["1", "oops", "3"], ["a", "b", "a"]], 1)
+        raw = coded_table(["v", "class"], [["1", "oops", "3"], ["a", "b", "a"]], 1)
         ds = encode(raw)
         assert ds.feature_meta[0].original_kind == "symbolic"
 
     def test_unfiltered_nonfinite_token_becomes_symbolic(self):
-        raw = RawTable(["v", "class"], [["1", "inf"], ["a", "b"]], 1)
+        raw = coded_table(["v", "class"], [["1", "inf"], ["a", "b"]], 1)
         ds = encode(raw)
         assert ds.feature_meta[0].original_kind == "symbolic"
         assert np.isfinite(ds.features).all()
 
     def test_empty_table_rejected(self):
-        raw = RawTable(["v", "class"], [[], []], 1)
+        raw = coded_table(["v", "class"], [[], []], 1)
         with pytest.raises(InputError):
             encode(raw)
 
     def test_symbol_round_trip(self):
         tokens = ["tcp", "udp", "icmp", "udp", "tcp", "ssh"]
-        raw = RawTable(["proto", "class"],
-                       [tokens, ["a" if i % 2 else "b" for i in range(len(tokens))]], 1)
+        raw = coded_table(["proto", "class"],
+                          [tokens, ["a" if i % 2 else "b" for i in range(len(tokens))]], 1)
         ds = encode(raw)
         decoded = [decode_symbol(ds.feature_meta[0], v) for v in ds.features[:, 0]]
         assert decoded == tokens
+
+
+def oracle_preprocess(path, label_column, has_header=True):
+    """load_csv -> filter_table -> encode by the per-cell token lists that the
+    dictionary-coded RawTable replaced. Returns the Dataset and the
+    PreprocessReport, or raises InputError where that path raised it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        rows = (row for row in reader if row)
+        first = next(rows, None)
+        if first is None:
+            raise InputError(f"{path} is empty")
+        if has_header:
+            header = first
+        else:
+            header = [f"col_{j}" for j in range(len(first))]
+            rows = itertools.chain([first], rows)
+        columns = [[] for _ in header]
+        for row in rows:
+            if len(row) != len(header):
+                raise InputError(f"ragged row at line {reader.line_num}: "
+                                 f"{len(row)} cells, expected {len(header)}")
+            for column, cell in zip(columns, row):
+                column.append(cell)
+    label_j = _resolve_label_column(header, label_column, has_header)
+
+    if columns[label_j] and len(set(columns[label_j])) < 2:
+        raise InputError("label column is constant: dataset contains a single class")
+    names, kept, label_out = [], [], 0
+    seen = {header[label_j]}
+    dropped_dup, dropped_const = [], []
+    missing = nonfinite = 0
+    for j, (name, column) in enumerate(zip(header, columns)):
+        if j == label_j:
+            label_out = len(kept)
+        elif name in seen:
+            dropped_dup.append(name)
+            continue
+        else:
+            seen.add(name)
+            missing += column.count("")
+            nonfinite += sum(map(column.count, NONFINITE_TOKENS))
+            column = [_ZERO_FILLED.get(cell, cell) for cell in column]
+            distinct = list(set(column))
+            constant = len(distinct) == 1
+            if len(distinct) > 1:
+                try:
+                    values = _parse_numeric(distinct, name)
+                    constant = values.min() == values.max()
+                except InputError:
+                    pass
+            if constant:
+                dropped_const.append(name)
+                continue
+        names.append(name)
+        kept.append(column)
+    if len(kept) == 1:
+        raise InputError("no feature columns remain after filtering")
+    n = len(kept[label_out])
+    report = PreprocessReport(tuple(dropped_const), tuple(dropped_dup), missing, nonfinite, n, n)
+
+    if n == 0:
+        raise InputError("cannot encode an empty table")
+    features = np.empty((n, len(kept) - 1), dtype=np.float64)
+    meta = []
+    for out_j, j in enumerate(j for j in range(len(kept)) if j != label_out):
+        symbols = dict(zip(dict.fromkeys(kept[j]), itertools.count()))
+        codes = np.array([symbols[cell] for cell in kept[j]], dtype=np.int64)
+        try:
+            values = _parse_numeric(list(symbols), names[j])[codes]
+            kind, symbols = "numeric", None
+        except InputError:
+            kind, values = "symbolic", codes
+        features[:, out_j] = values
+        meta.append(FeatureMeta(names[j], kind, float(values.min()), float(values.max()), symbols))
+    classes = dict(zip(dict.fromkeys(kept[label_out]), itertools.count()))
+    class_names = list(classes)
+    ds = Dataset(features=features, feature_meta=meta,
+                 labels=[classes[cell] for cell in kept[label_out]],
+                 class_names=class_names,
+                 normal_class=_resolve_normal_class(class_names, None))
+    return ds, report
+
+
+# Cells of a raw capture: blanks, the zero-filled non-finite spellings, other
+# non-finite spellings, numbers that parse alike ("1"/"1.0", "0"/"-0"),
+# symbols, and tokens csv must quote (a comma, a quote, a line break).
+NUMERIC_CELLS = ("", "NaN", "Infinity", "-Infinity", "1", "1.0", "-0", "0", "0.0",
+                 "2.5", "007", "1e308", "-1e308")
+SYMBOLIC_CELLS = ("tcp", "udp", "nan", "inf", "a,b", "x\ny", 'q"', " ", "")
+RAW_NAMES = ("f", "g", "class", "", "h,i")
+RAW_LABELS = ("normal", "dos", "a,b", "new\nline", "")
+
+
+@st.composite
+def raw_csvs(draw):
+    """(CSV text, label column, has_header): 0-20 rows of 1-5 feature columns
+    that are numeric, symbolic or mixed, headers that repeat or name the
+    label, and an optional byte-order mark."""
+    n_features = draw(st.integers(1, 5))
+    label_j = draw(st.integers(0, n_features))
+    names = draw(st.lists(st.sampled_from(RAW_NAMES), min_size=n_features,
+                          max_size=n_features))
+    names.insert(label_j, "class")
+    pools = [draw(st.sampled_from([NUMERIC_CELLS, SYMBOLIC_CELLS,
+                                   NUMERIC_CELLS + SYMBOLIC_CELLS]))
+             for _ in range(n_features)]
+    pools.insert(label_j, RAW_LABELS)
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)), max_size=20))
+    has_header = draw(st.booleans())
+    buf = io.StringIO()
+    csv.writer(buf).writerows(([names] if has_header else []) + rows)
+    text = ("\ufeff" if draw(st.booleans()) else "") + buf.getvalue()
+    label = draw(st.sampled_from(["class", str(label_j), label_j] if has_header
+                                 else [str(label_j), label_j]))
+    return text, label, has_header
+
+
+def assert_same_dataset(got, expected):
+    assert np.array_equal(got.features.view(np.int64), expected.features.view(np.int64))
+    assert np.array_equal(got.labels, expected.labels)
+    assert got.class_names == expected.class_names
+    assert got.feature_meta == expected.feature_meta
+    assert got.normal_class == expected.normal_class
+
+
+class TestCodedTable:
+    @settings(max_examples=200, deadline=None)
+    @given(table=raw_csvs())
+    @example(table=("\ufeffclass,v,class,w\nb,,1,tcp\na,NaN,2,\nb,7,3,tcp\n", "class", True))
+    def test_matches_per_cell_oracle(self, table):
+        text, label, has_header = table
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "in.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                expected, expected_report = oracle_preprocess(path, label, has_header)
+            except InputError as exc:
+                with pytest.raises(InputError) as got:
+                    encode(filter_table(load_csv(path, label, has_header))[0])
+                assert str(got.value) == str(exc)
+                return
+            filtered, report = filter_table(load_csv(path, label, has_header))
+            ds = encode(filtered)
+            assert report == expected_report
+            assert_same_dataset(ds, expected)
+            art = os.path.join(work, "art")
+            write_dataset_artifact(normalize(ds), art, report,
+                                   label_name=filtered.column_names[filtered.label_column])
+            assert_same_dataset(read_dataset_artifact(art), normalize(expected))
 
 
 class TestNormalize:
@@ -411,7 +565,7 @@ class TestArtifact:
         assert np.array_equal(back.features.view(np.int64), ds.features.view(np.int64))
 
     def test_round_trip(self, tmp_path):
-        raw = RawTable(
+        raw = coded_table(
             ["proto", "v", "class"],
             [["tcp", "udp", "tcp"], ["1.25", "3.5", "0.0"], ["normal", "dos", "normal"]],
             2,

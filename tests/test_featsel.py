@@ -47,6 +47,16 @@ def oracle_symmetric_uncertainty(a, b):
     return min(max(2.0 * oracle_mutual_information(a, b) / (ha + hb), 0.0), 1.0)
 
 
+def oracle_bin_column(x, bins):
+    """_bin_column as it was before it sorted the column once: np.unique for
+    the distinct values, then np.quantile on the unsorted column."""
+    distinct = np.unique(x)
+    if distinct.size <= bins:
+        return np.searchsorted(distinct, x).astype(np.int64)
+    edges = np.quantile(x, np.arange(1, bins) / bins)
+    return np.searchsorted(edges, x, side="right").astype(np.int64)
+
+
 @st.composite
 def scored_datasets(draw):
     n = draw(st.integers(min_value=1, max_value=60))
@@ -84,6 +94,16 @@ class TestInformationTable:
         assert cache.feature_feature.tobytes() == ff.tobytes()
         assert ig_rank(ds, bins) == sorted(enumerate(gains), key=lambda p: (-p[1], p[0]))
         assert igr_rank(ds, bins) == sorted(enumerate(ratios), key=lambda p: (-p[1], p[0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.0, 5e-324])
+                      | st.floats(min_value=-1e9, max_value=1e9),
+                      min_size=1, max_size=60),
+           bins=st.integers(min_value=2, max_value=12))
+    def test_bin_column_matches_unsorted_oracle(self, x, bins):
+        """Ties and signed zeros: sorting once leaves every code unchanged."""
+        x = np.array(x, dtype=np.float64)
+        assert np.array_equal(_bin_column(x, bins), oracle_bin_column(x, bins))
 
     @pytest.mark.parametrize("bins", [1, 0, -3])
     def test_fewer_than_two_bins_rejected_by_every_scorer(self, bins):

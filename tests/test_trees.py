@@ -639,6 +639,13 @@ class TestSerialization:
             {"depth": 1, "distribution": [0.25, 0.75]},
         ]
 
+    def test_non_utf8_model_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(chain_tree(1), str(path))
+        path.write_bytes(path.read_bytes().replace(b'"nodes"', b'"n\xffdes"'))
+        with pytest.raises(InputError, match="model.json"):
+            load_model(str(path))
+
     def test_cyclic_links_rejected(self):
         doc = model_to_doc(chain_tree(2))
         doc["nodes"][2]["right"] = 0
