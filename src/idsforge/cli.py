@@ -137,12 +137,14 @@ def cmd_preprocess(opts: Options) -> int:
     has_header = not opts.get("no-header", False, bool)
     out_dir = opts.get("out", "preprocessed")
 
-    raw = load_csv(path, label, has_header=has_header)
-    filtered, report = filter_table(raw)
+    filtered, report = filter_table(load_csv(path, label, has_header=has_header))
+    label_name = filtered.column_names[filtered.label_column]
     ds = encode(filtered, normal_class_name=opts.get("normal-class"))
+    # The coded table's matrix is freed here, before normalize adds a second
+    # float matrix next to the encoded one.
+    del filtered
     ds = normalize(ds)
-    write_dataset_artifact(ds, out_dir, report=report,
-                           label_name=filtered.column_names[filtered.label_column])
+    write_dataset_artifact(ds, out_dir, report=report, label_name=label_name)
     _write_json(os.path.join(out_dir, "preprocess_report.json"), report.to_dict())
     print(f"wrote {ds.n_rows} rows x {ds.n_features} features "
           f"({ds.n_classes} classes) to {out_dir}")
@@ -166,7 +168,7 @@ def _read_subset_file(path) -> list[int]:
         return _parse_feature_list(text)
     try:
         selected = json.loads(text)["selected"]
-    except (json.JSONDecodeError, KeyError, TypeError):
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError):
         raise InputError(f"subset file {path} is not a JSON object with a "
                          "'selected' list") from None
     if not isinstance(selected, list) or not all(

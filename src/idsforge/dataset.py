@@ -23,7 +23,7 @@ ARTIFACT_VERSION = 1
 # its column's spellings; the writer keeps nothing per cell beyond one block.
 _WRITE_BLOCK_ROWS = 8192
 # Rows of input read before their cell codes move from a list of Python ints
-# into an int64 array, so no per-cell pointer list outlives one block.
+# into an int32 array, so no per-cell pointer list outlives one block.
 _READ_BLOCK_ROWS = 8192
 
 
@@ -32,10 +32,11 @@ class RawTable:
     """A parsed CSV held column by column, every column dictionary-coded.
 
     tokens[j] lists the distinct tokens of column j in order of first
-    appearance, each present in the column; codes[j] is an int64 array with
+    appearance, each present in the column; codes[j] is an int32 array with
     row i's index into tokens[j]. Cell i of column j is tokens[j][codes[j][i]].
-    filter_table hands unchanged columns on to the table it returns, so no
-    step modifies them in place.
+    A code outside [0, len(tokens[j])) is an InputError. filter_table hands
+    unchanged columns on to the table it returns, so no step modifies them in
+    place.
     """
 
     column_names: list[str]
@@ -44,11 +45,13 @@ class RawTable:
     label_column: int
 
     def __post_init__(self):
-        object.__setattr__(self, "codes", [np.asarray(c, dtype=np.int64) for c in self.codes])
         width = len(self.column_names)
         if len(self.tokens) != width or len(self.codes) != width:
             raise InputError(f"{len(self.tokens)} token lists and {len(self.codes)} code "
                              f"arrays for {width} column names")
+        codes = [_checked_codes(c, len(tokens), name)
+                 for name, tokens, c in zip(self.column_names, self.tokens, self.codes)]
+        object.__setattr__(self, "codes", codes)
         if not 0 <= self.label_column < width:
             raise InputError(f"label column index {self.label_column} out of range for {width} columns")
         for name, codes in zip(self.column_names, self.codes):
@@ -62,6 +65,23 @@ class RawTable:
     @property
     def n_columns(self) -> int:
         return len(self.column_names)
+
+
+def _checked_codes(codes, n_tokens, name) -> np.ndarray:
+    """codes as int32, checked to lie in [0, n_tokens) before they are narrowed;
+    an int32 array is kept as it is."""
+    outside = InputError(f"column {name!r} has a code outside [0, {n_tokens})")
+    if not (isinstance(codes, np.ndarray) and codes.dtype == np.int32):
+        try:
+            codes = np.asarray(codes, dtype=np.int64)
+        except OverflowError:
+            raise outside from None
+    # Read as unsigned, a negative code is at least 2**31 (2**63 in int64), so
+    # one max() checks both ends of the range.
+    unsigned = np.uint32 if codes.dtype == np.int32 else np.uint64
+    if codes.size and codes.view(unsigned).max() >= n_tokens:
+        raise outside
+    return codes.astype(np.int32, copy=False)
 
 
 class _FirstAppearanceCodes(dict):
@@ -117,9 +137,33 @@ class PreprocessReport:
         }
 
 
+def _frozen(array, dtype) -> np.ndarray:
+    """array itself when no writable reference can reach it, else a read-only
+    copy as dtype.
+
+    An ndarray of exactly dtype is kept when it and every array it views are
+    read-only and the last of them owns its memory. Anything else, such as a
+    writable array, a view of one, or a view of a foreign buffer, is copied.
+    """
+    if type(array) is np.ndarray and array.dtype == dtype:
+        owner = array
+        while type(owner) is np.ndarray and not owner.flags.writeable:
+            if owner.base is None:
+                return array
+            owner = owner.base
+    out = np.array(array, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable numeric matrix plus class labels and per-feature metadata."""
+    """Immutable numeric matrix plus class labels and per-feature metadata.
+
+    features and labels are kept without a copy when no writable reference
+    can reach them (see _frozen), and copied otherwise; either way the
+    Dataset's arrays are read-only.
+    """
 
     features: np.ndarray  # (n_rows, n_features) float64
     feature_meta: list[FeatureMeta]
@@ -128,8 +172,8 @@ class Dataset:
     normal_class: int
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int64)
+        feats = _frozen(self.features, np.float64)
+        labels = _frozen(self.labels, np.int64)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         if feats.ndim != 2:
@@ -149,8 +193,6 @@ class Dataset:
             raise InputError("some class in class_names has no instances")
         if not 0 <= self.normal_class < c:
             raise InputError(f"normal class index {self.normal_class} out of range")
-        feats.setflags(write=False)
-        labels.setflags(write=False)
 
     @property
     def n_rows(self) -> int:
@@ -230,11 +272,11 @@ def load_csv(path, label_column, has_header: bool = True) -> RawTable:
                     cells.extend(map(dict.__getitem__, distinct, row))
                 if not cells:
                     break
-                blocks.append(np.fromiter(cells, dtype=np.int64, count=len(cells)))
+                blocks.append(np.fromiter(cells, dtype=np.int32, count=len(cells)))
                 cells.clear()
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    matrix = np.concatenate(blocks or [np.empty(0, dtype=np.int64)]).reshape(-1, width)
+    matrix = np.concatenate(blocks or [np.empty(0, dtype=np.int32)]).reshape(-1, width)
     label = _resolve_label_column(header, label_column, has_header)
     return RawTable(column_names=header, tokens=[list(d) for d in distinct],
                     codes=list(matrix.T), label_column=label)
@@ -296,7 +338,7 @@ def filter_table(raw: RawTable) -> tuple[RawTable, PreprocessReport]:
                 filled = [_ZERO_FILLED.get(t, t) for t in column]
                 column = list(dict.fromkeys(filled))
                 renumber = dict(zip(column, itertools.count()))
-                coded = np.array([renumber[t] for t in filled], dtype=np.int64)[coded]
+                coded = np.array([renumber[t] for t in filled], dtype=np.int32)[coded]
             if _is_constant(column, name):
                 dropped_const.append(name)
                 continue
@@ -380,10 +422,13 @@ def encode(raw: RawTable, normal_class_name: str | None = None) -> Dataset:
 
     class_names = list(raw.tokens[label_j])
     normal = _resolve_normal_class(class_names, normal_class_name)
+    labels = raw.codes[label_j].astype(np.int64)
+    features.setflags(write=False)
+    labels.setflags(write=False)
     return Dataset(
         features=features,
         feature_meta=meta,
-        labels=raw.codes[label_j],
+        labels=labels,
         class_names=class_names,
         normal_class=normal,
     )
@@ -405,7 +450,8 @@ def normalize(ds: Dataset) -> Dataset:
     """Min-max scale every feature onto [0, 1].
 
     Scaling uses the current column extremes, so applying it twice is the
-    identity; feature_meta keeps the original observed range.
+    identity; feature_meta keeps the original observed range. The scaled
+    matrix is the only new one: each step after the first works in place.
     """
     mins = ds.features.min(axis=0)
     maxs = ds.features.max(axis=0)
@@ -417,7 +463,10 @@ def normalize(ds: Dataset) -> Dataset:
     # so such a column is halved first; times 1, every other column keeps its bits.
     with np.errstate(over="ignore"):
         k = np.where(np.isinf(maxs - mins), 0.5, 1.0)
-    scaled = (ds.features * k - mins * k) / (maxs * k - mins * k)
+    scaled = ds.features * k
+    scaled -= mins * k
+    scaled /= maxs * k - mins * k
+    scaled.setflags(write=False)
     return Dataset(
         features=scaled,
         feature_meta=ds.feature_meta,
@@ -436,8 +485,13 @@ def select_features(ds: Dataset, indices) -> Dataset:
         raise InputError("feature index out of range")
     if len(np.unique(indices)) != indices.size:
         raise InputError("duplicate feature indices")
+    # Gathered as rows of the transpose, so the projection is column-major
+    # (the per-feature scans of the tree learners read it by column) and
+    # `columns` owns its memory.
+    columns = ds.features.T[indices]
+    columns.setflags(write=False)
     return Dataset(
-        features=ds.features[:, indices],
+        features=columns.T,
         feature_meta=[ds.feature_meta[int(i)] for i in indices],
         labels=ds.labels,
         class_names=ds.class_names,
@@ -569,7 +623,7 @@ def read_dataset_artifact(path) -> Dataset:
             sidecar = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read dataset sidecar {meta_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"malformed dataset sidecar {meta_path}: {exc}") from exc
 
     _check_fields(sidecar, _SIDECAR_FIELDS, meta_path)
@@ -596,6 +650,8 @@ def read_dataset_artifact(path) -> Dataset:
     if unknown:
         raise InputError(f"label {unknown[0]!r} missing from sidecar class names")
     labels = np.array([class_index[tok] for tok in tokens], dtype=np.int64)[codes]
+    features.setflags(write=False)
+    labels.setflags(write=False)
     return Dataset(
         features=features,
         feature_meta=meta,

@@ -663,6 +663,6 @@ def load_model(path):
             doc = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read model {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"malformed model file {path}: {exc}") from exc
     return model_from_doc(doc)

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from idsforge.cli import main
+from idsforge.cli import _read_subset_file, main
 from idsforge.dataset import (normalize, read_dataset_artifact,
                               write_dataset_artifact)
+from idsforge.errors import InputError
 from idsforge.evaluation import ClassifierSpec, cross_validate
 
 from conftest import make_leak_dataset
@@ -49,6 +50,8 @@ def read_text(path):
 
 
 RUN_VARYING = ("mbt_seconds", "seconds", "created_utc")
+# JSON nested deeper than the parser's recursion limit.
+DEEPLY_NESTED = "[" * 200_000
 
 
 def without_run_varying(doc):
@@ -182,6 +185,13 @@ class TestSelect:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    def test_deeply_nested_sidecar_exit_code(self, artifact_dir, tmp_path, capsys):
+        with open(os.path.join(artifact_dir, "dataset.meta.json"), "w", encoding="utf-8") as fh:
+            fh.write(DEEPLY_NESTED)
+        assert main(["select", "--input", artifact_dir, "--selector", "none",
+                     "--out", str(tmp_path / "sel")]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed dataset sidecar")
+
     def test_ig_top(self, artifact_dir, tmp_path, capsys):
         out = str(tmp_path / "sel_ig")
         assert main(["select", "--input", artifact_dir, "--selector", "ig",
@@ -259,6 +269,16 @@ class TestEvaluate:
                      "--classifiers", "c45", "--k", "3",
                      "--out", str(tmp_path / "eval")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_deeply_nested_subset_file_exit_code(self, artifact_dir, tmp_path, capsys):
+        subset = tmp_path / "nested.json"
+        subset.write_text(DEEPLY_NESTED, encoding="utf-8")
+        with pytest.raises(InputError, match="is not a JSON object"):
+            _read_subset_file(str(subset))
+        assert main(["evaluate", "--input", artifact_dir, "--subset-file", str(subset),
+                     "--classifiers", "c45", "--k", "3",
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err.startswith("error: subset file")
 
     @pytest.mark.parametrize("command", ["select", "evaluate"])
     @pytest.mark.parametrize("features", ["-1", "6", "0,999"])

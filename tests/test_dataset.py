@@ -1,9 +1,11 @@
 import csv
+import gc
 import io
 import itertools
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 
 from idsforge.cli import main
 from idsforge.dataset import (NONFINITE_TOKENS, _ZERO_FILLED, Dataset, FeatureMeta,
-                              PreprocessReport, _parse_numeric, _resolve_label_column,
-                              _resolve_normal_class, decode_symbol, encode,
+                              PreprocessReport, RawTable, _parse_numeric,
+                              _resolve_label_column, _resolve_normal_class, decode_symbol, encode,
                               filter_table, load_csv, normalize, read_dataset_artifact,
                               select_features, stratified_folds, write_dataset_artifact)
 from idsforge.errors import InputError
@@ -564,6 +566,12 @@ class TestArtifact:
             back = read_dataset_artifact(work)
         assert np.array_equal(back.features.view(np.int64), ds.features.view(np.int64))
 
+    def test_deeply_nested_sidecar_rejected(self, tmp_path):
+        write_dataset_artifact(make_dataset([[0.0], [1.0]], [0, 1]), tmp_path)
+        (tmp_path / "dataset.meta.json").write_text("[" * 200_000, encoding="utf-8")
+        with pytest.raises(InputError, match="malformed dataset sidecar"):
+            read_dataset_artifact(str(tmp_path))
+
     def test_round_trip(self, tmp_path):
         raw = coded_table(
             ["proto", "v", "class"],
@@ -615,3 +623,150 @@ class TestDatasetInvariants:
         ds = make_dataset([[1.0], [2.0]], [0, 1])
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
+
+    def test_writable_input_copied(self):
+        features = np.array([[1.0, 5.0], [2.0, 6.0], [3.0, 7.0]])
+        labels = np.array([0, 1, 0])
+        ds = make_dataset(features, labels)
+        features[0, 0] = 9.0
+        labels[0] = 1
+        assert ds.features[0, 0] == 1.0 and ds.labels[0] == 0
+        assert features.flags.writeable and labels.flags.writeable
+        assert not np.shares_memory(ds.features, features)
+        assert not np.shares_memory(ds.labels, labels)
+
+    def test_read_only_view_of_writable_memory_copied(self):
+        """A read-only view is copied when what it views can still be
+        written: a writable array, or a bytearray behind np.frombuffer."""
+        base = np.array([[1.0], [2.0], [3.0]])
+        buffer = bytearray(base.tobytes())
+        views = [base[:], np.frombuffer(buffer).reshape(3, 1)]
+        for view in views:
+            view.setflags(write=False)
+        datasets = [make_dataset(view, [0, 1, 0]) for view in views]
+        base[0, 0] = 0.0
+        buffer[:8] = bytes(8)
+        for view, ds in zip(views, datasets):
+            assert view[0, 0] == 0.0 and ds.features[0, 0] == 1.0
+
+    def test_other_dtype_copied(self):
+        features = np.array([[1.0], [2.0]], dtype=np.float32)
+        features.setflags(write=False)
+        ds = make_dataset(features, [0, 1])
+        assert ds.features.dtype == np.float64 and not ds.features.flags.writeable
+
+    def test_slice_of_dataset_adopted(self):
+        ds = make_dataset(np.arange(12.0).reshape(6, 2), [0, 1, 0, 1, 0, 1])
+        part = Dataset(features=ds.features[2:5], feature_meta=ds.feature_meta,
+                       labels=ds.labels[2:5], class_names=ds.class_names, normal_class=0)
+        assert part.features.base is ds.features and part.labels.base is ds.labels
+        assert not part.features.flags.writeable
+
+    def test_pipeline_matrices_share_memory_with_nothing_writable(self, tmp_path):
+        raw = coded_table(["proto", "v", "w", "class"],
+                          [["tcp", "udp", "tcp", "icmp"], ["1.5", "3", "0", "2"],
+                           ["4", "4", "5", "6"], ["normal", "dos", "normal", "dos"]], 3)
+        encoded = encode(raw)
+        scaled = normalize(encoded)
+        picked = select_features(scaled, [2, 0])
+        write_dataset_artifact(scaled, tmp_path / "art")
+        back = read_dataset_artifact(str(tmp_path / "art"))
+        for ds in (encoded, scaled, picked, back):
+            for array in (ds.features, ds.labels):
+                assert_sealed(array)
+                assert not any(np.shares_memory(array, codes) for codes in raw.codes)
+        assert not np.shares_memory(scaled.features, encoded.features)
+        assert picked.labels is scaled.labels
+        assert picked.features.flags.f_contiguous
+
+
+def assert_sealed(array):
+    """array and every array it views are read-only, and the last of them
+    owns its memory, so no writable reference reaches it."""
+    while array.base is not None:
+        assert isinstance(array.base, np.ndarray) and not array.flags.writeable
+        array = array.base
+    assert not array.flags.writeable
+
+
+class TestRawTable:
+    @pytest.mark.parametrize("codes", [
+        [0, 5, 1], [-1, 0, 1], np.array([0, 2**32, 1]), [0, 2**64, 1],
+        np.array([0, 2**63 + 1, 1], dtype=np.uint64)])
+    def test_code_out_of_range_rejected(self, codes):
+        """Checked before the codes narrow to int32, so 2**32 cannot wrap to 0."""
+        with pytest.raises(InputError, match="'f' has a code outside"):
+            RawTable(["f", "class"], [["a", "b"], ["x", "y"]], [codes, [0, 1, 0]], 1)
+
+    def test_codes_held_as_int32(self, tmp_path):
+        raw = load_csv(write_csv(tmp_path, "a,b\n1,x\n2,y\n"), "b")
+        kept = np.array([0, 1], dtype=np.int32)
+        assert all(c.dtype == np.int32 for c in raw.codes)
+        assert all(c.dtype == np.int32 for c in filter_table(raw)[0].codes)
+        assert RawTable(["a", "b"], [["1", "2"], ["x", "y"]], [kept, [1, 0]], 1).codes[0] is kept
+
+
+def write_traffic_csv(path, rows, seed=0):
+    """A capture-like table of 40 columns: three symbolic ones, 2-decimal
+    rates, counts below 512, two heavy-tailed byte counts and a skewed
+    five-class label."""
+    rng = np.random.default_rng(seed)
+    rates = np.array([f"{i / 100:.2f}" for i in range(101)], dtype=object)
+    def symbols(names):
+        return np.array(names, dtype=object)[rng.integers(0, len(names), rows)]
+
+    columns = {"protocol": symbols(["tcp", "udp", "icmp"]),
+               "service": symbols([f"svc{i}" for i in range(60)]),
+               "flag": symbols(["SF", "S0", "REJ", "RSTO"])}
+    for j in range(22):
+        columns[f"rate{j}"] = rates[rng.integers(0, 101, rows)]
+    for j in range(12):
+        columns[f"count{j}"] = rng.integers(0, 512, rows).astype(str)
+    for j in range(2):
+        columns[f"bytes{j}"] = np.floor(rng.pareto(1.5, rows) * 40).astype(np.int64).astype(str)
+    columns["class"] = np.array(["normal", "dos", "probe", "r2l", "u2r"], dtype=object)[
+        rng.choice(5, rows, p=[0.53, 0.37, 0.08, 0.015, 0.005])]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns.values()))
+    return rows * len(columns)
+
+
+def traced_peak(work) -> int:
+    """Peak bytes traced while work() runs, above what was traced before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def scaled_table(path) -> Dataset:
+    """load_csv -> filter_table -> encode -> normalize, the coded table freed
+    before normalize as the preprocess command frees it."""
+    filtered, _ = filter_table(load_csv(path, "class"))
+    ds = encode(filtered)
+    del filtered
+    return normalize(ds)
+
+
+class TestMemoryPerCell:
+    """Peak traced bytes per input cell, numpy buffers included, of ingest
+    and of reading its artifact on a 20,000 x 40 table. Holding each matrix
+    once (int32 codes, then at most two float64 matrices) keeps both under
+    the bound; int64 codes or a defensive copy of a matrix exceed it."""
+
+    BOUND = 20.0
+
+    def test_ingest_and_read_artifact(self, tmp_path):
+        path = str(tmp_path / "in.csv")
+        cells = write_traffic_csv(path, 20_000)
+        art = str(tmp_path / "art")
+        write_dataset_artifact(scaled_table(path), art, label_name="class")
+        preprocess = traced_peak(lambda: scaled_table(path))
+        read = traced_peak(lambda: read_dataset_artifact(art))
+        assert preprocess / cells <= self.BOUND, f"preprocess: {preprocess / cells:.1f} B per cell"
+        assert read / cells <= self.BOUND, f"read_dataset_artifact: {read / cells:.1f} B per cell"

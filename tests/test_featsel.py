@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from idsforge.dataset import normalize
 from idsforge.errors import InputError
 from idsforge.featsel import (BatSwarmConfig, CorrelationCache, FeatureSubset,
-                              _bin_column, binarize, build_correlation_cache,
+                              _bin_column, _joint_codes, binarize, build_correlation_cache,
                               cfs_ba_select, cfs_merit, exhaustive_best_subset,
                               ig_rank, igr_rank, local_walk)
 
@@ -104,6 +104,19 @@ class TestInformationTable:
         """Ties and signed zeros: sorting once leaves every code unchanged."""
         x = np.array(x, dtype=np.float64)
         assert np.array_equal(_bin_column(x, bins), oracle_bin_column(x, bins))
+
+    def test_bin_codes_are_int32(self):
+        x = np.linspace(0.0, 1.0, 50)
+        assert _bin_column(x, 10).dtype == np.int32 and _bin_column(x, 100).dtype == np.int32
+
+    @pytest.mark.parametrize("width", [46_340, 46_341])
+    def test_joint_code_past_int32_taken_in_int64(self, width):
+        """width**2 - 1 is the largest joint code: 2**31 - 1 or less fits
+        int32, and a larger one must not wrap."""
+        top = np.array([width - 1, 0], dtype=np.int32)
+        joint = _joint_codes(top, width, top, width)
+        assert joint.tolist() == [width * width - 1, 0]
+        assert joint.dtype == (np.int32 if width * width <= 2**31 else np.int64)
 
     @pytest.mark.parametrize("bins", [1, 0, -3])
     def test_fewer_than_two_bins_rejected_by_every_scorer(self, bins):

@@ -646,6 +646,12 @@ class TestSerialization:
         with pytest.raises(InputError, match="model.json"):
             load_model(str(path))
 
+    def test_deeply_nested_model_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        with pytest.raises(InputError, match="malformed model file"):
+            load_model(str(path))
+
     def test_cyclic_links_rejected(self):
         doc = model_to_doc(chain_tree(2))
         doc["nodes"][2]["right"] = 0
