@@ -144,6 +144,8 @@ def _frozen(array, dtype) -> np.ndarray:
     An ndarray of exactly dtype is kept when it and every array it views are
     read-only and the last of them owns its memory. Anything else, such as a
     writable array, a view of one, or a view of a foreign buffer, is copied.
+    numpy lets the owner of an array's memory turn writing back on, so a kept
+    array is handed over: its caller must not make it writable again.
     """
     if type(array) is np.ndarray and array.dtype == dtype:
         owner = array
@@ -162,7 +164,9 @@ class Dataset:
 
     features and labels are kept without a copy when no writable reference
     can reach them (see _frozen), and copied otherwise; either way the
-    Dataset's arrays are read-only.
+    Dataset's arrays are read-only. A read-only array that owns its memory,
+    or a view of one, is adopted: the caller hands it over and must not turn
+    writing back on with setflags.
     """
 
     features: np.ndarray  # (n_rows, n_features) float64

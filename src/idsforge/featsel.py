@@ -145,20 +145,18 @@ def _information_table(ds: Dataset, bins: int):
     entropies = [entropy(np.bincount(c)) for c in codes]
     h_class = entropy(np.bincount(labels))
     width = int(labels.max()) + 1
-    gains = [_information(h, h_class,
-                          entropy(np.bincount(_joint_codes(c, int(c.max()) + 1, labels, width))))
+    gains = [_information(h, h_class, entropy(np.bincount(_joint_codes(c, labels, width))))
              for c, h in zip(codes, entropies)]
     return codes, entropies, h_class, gains
 
 
-def _joint_codes(a: np.ndarray, width_a: int, b: np.ndarray, width_b: int) -> np.ndarray:
-    """a * width_b + b, one code per pair of values, for codes a in
-    [0, width_a) and b in [0, width_b). The codes of _bin_column are int32;
-    the product is taken in int64 when the largest joint code,
-    width_a * width_b - 1, would not fit int32."""
-    if width_a * width_b > 2**31:
-        a = a.astype(np.int64)
-    return a * width_b + b
+def _joint_codes(a: np.ndarray, b: np.ndarray, width_b: int) -> np.ndarray:
+    """a * width_b + b in int64, one code per pair of values, for codes b in
+    [0, width_b). With --bins user-set, the joint code of two int32 bin codes
+    can pass 2**31."""
+    joint = np.multiply(a, width_b, dtype=np.int64)
+    joint += b
+    return joint
 
 
 def _information(ha: float, hb: float, h_joint: float) -> float:
@@ -182,7 +180,7 @@ def build_correlation_cache(ds: Dataset, bins: int = 10) -> CorrelationCache:
     feature_feature = np.eye(d)
     for i in range(d):
         for j in range(i + 1, d):
-            h_joint = entropy(np.bincount(_joint_codes(codes[i], widths[i], codes[j], widths[j])))
+            h_joint = entropy(np.bincount(_joint_codes(codes[i], codes[j], widths[j])))
             su = _symmetric_uncertainty(h[i], h[j], _information(h[i], h[j], h_joint))
             feature_feature[i, j] = feature_feature[j, i] = su
     return CorrelationCache(feature_class=feature_class, feature_feature=feature_feature, bins=bins)

@@ -650,10 +650,18 @@ class TestDatasetInvariants:
             assert view[0, 0] == 0.0 and ds.features[0, 0] == 1.0
 
     def test_other_dtype_copied(self):
+        """Read-only arrays that own their memory, but of another dtype."""
         features = np.array([[1.0], [2.0]], dtype=np.float32)
+        labels = np.array([0, 1], dtype=np.int32)
         features.setflags(write=False)
-        ds = make_dataset(features, [0, 1])
-        assert ds.features.dtype == np.float64 and not ds.features.flags.writeable
+        labels.setflags(write=False)
+        meta = [FeatureMeta("f0", "numeric", 1.0, 2.0)]
+        ds = Dataset(features=features, feature_meta=meta, labels=labels,
+                     class_names=["normal", "attack"], normal_class=0)
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+        for kept, given in ((ds.features, features), (ds.labels, labels)):
+            assert not np.shares_memory(kept, given)
+            assert_sealed(kept)
 
     def test_slice_of_dataset_adopted(self):
         ds = make_dataset(np.arange(12.0).reshape(6, 2), [0, 1, 0, 1, 0, 1])
@@ -678,6 +686,8 @@ class TestDatasetInvariants:
         assert not np.shares_memory(scaled.features, encoded.features)
         assert picked.labels is scaled.labels
         assert picked.features.flags.f_contiguous
+        # kept without a copy: a transposed view of the gathered matrix
+        assert picked.features.base is not None and picked.features.base.base is None
 
 
 def assert_sealed(array):

@@ -110,13 +110,11 @@ class TestInformationTable:
         assert _bin_column(x, 10).dtype == np.int32 and _bin_column(x, 100).dtype == np.int32
 
     @pytest.mark.parametrize("width", [46_340, 46_341])
-    def test_joint_code_past_int32_taken_in_int64(self, width):
-        """width**2 - 1 is the largest joint code: 2**31 - 1 or less fits
-        int32, and a larger one must not wrap."""
+    def test_joint_code_past_int32_does_not_wrap(self, width):
+        """width**2 - 1 is the largest joint code of two int32 bin codes:
+        2**31 - 1 or less at 46,340, past 2**31 at 46,341."""
         top = np.array([width - 1, 0], dtype=np.int32)
-        joint = _joint_codes(top, width, top, width)
-        assert joint.tolist() == [width * width - 1, 0]
-        assert joint.dtype == (np.int32 if width * width <= 2**31 else np.int64)
+        assert _joint_codes(top, top, width).tolist() == [width * width - 1, 0]
 
     @pytest.mark.parametrize("bins", [1, 0, -3])
     def test_fewer_than_two_bins_rejected_by_every_scorer(self, bins):
