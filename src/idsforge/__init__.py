@@ -21,6 +21,6 @@ from .stats import (FriedmanResult, NemenyiResult, RankTable,
                     load_metric_table, nemenyi_cd, rank_algorithms,
                     regularized_incomplete_beta)
 from .trees import (AttributeWeights, DecisionTree, Forest, TreeParams,
-                    c45_fit, entropy, forest_pa_fit, gain_ratio, load_model,
+                    c45_fit, entropy, forest_pa_fit, load_model,
                     model_from_doc, model_to_doc, rf_fit, save_model,
-                    split_info, weight_increment, weight_range)
+                    weight_increment, weight_range)

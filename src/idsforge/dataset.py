@@ -267,7 +267,10 @@ def load_csv(path, label_column, has_header: bool = True) -> RawTable:
             width = len(header)
             distinct = [_FirstAppearanceCodes() for _ in header]
             cells: list[int] = []
-            blocks = []
+            # one buffer grown by doubling: its unused tail is never touched,
+            # so it costs no resident memory, and no block outlives its copy
+            matrix = np.empty(0, dtype=np.int32)
+            filled = 0
             while True:
                 for row in itertools.islice(rows, _READ_BLOCK_ROWS):
                     if len(row) != width:
@@ -276,11 +279,17 @@ def load_csv(path, label_column, has_header: bool = True) -> RawTable:
                     cells.extend(map(dict.__getitem__, distinct, row))
                 if not cells:
                     break
-                blocks.append(np.fromiter(cells, dtype=np.int32, count=len(cells)))
+                if filled + len(cells) > matrix.size:
+                    # no view of the buffer exists while it is being filled
+                    matrix.resize(max(2 * matrix.size, filled + len(cells)), refcheck=False)
+                matrix[filled:filled + len(cells)] = np.fromiter(cells, dtype=np.int32,
+                                                                 count=len(cells))
+                filled += len(cells)
                 cells.clear()
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    matrix = np.concatenate(blocks or [np.empty(0, dtype=np.int32)]).reshape(-1, width)
+    matrix.resize(filled, refcheck=False)
+    matrix = matrix.reshape(-1, width)
     label = _resolve_label_column(header, label_column, has_header)
     return RawTable(column_names=header, tokens=[list(d) for d in distinct],
                     codes=list(matrix.T), label_column=label)

@@ -36,39 +36,6 @@ def entropy(counts) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def split_info(partition_sizes) -> float:
-    """Entropy of the partition-size distribution (how evenly a split cuts)."""
-    return entropy(partition_sizes)
-
-
-def gain_ratio(parent_counts, child_counts_list) -> float:
-    """Information gain divided by split info; 0 when the gain or the split
-    info is not positive."""
-    parent = np.asarray(parent_counts, dtype=np.float64)
-    children = [np.asarray(c, dtype=np.float64) for c in child_counts_list]
-    if not children:
-        raise InputError("no child partitions")
-    stacked = np.zeros_like(parent)
-    for ch in children:
-        if ch.shape != parent.shape:
-            raise InputError("child count vector has wrong length")
-        stacked = stacked + ch
-    if not np.array_equal(stacked, parent):
-        raise InputError("child counts do not partition the parent counts")
-    total = parent.sum()
-    gain = entropy(parent)
-    sizes = []
-    for ch in children:
-        size = ch.sum()
-        sizes.append(size)
-        if size > 0:
-            gain -= size / total * entropy(ch)
-    info = split_info(sizes)
-    if info <= 0 or gain <= 0:
-        return 0.0
-    return float(gain / info)
-
-
 @dataclass(frozen=True)
 class TreeParams:
     min_leaf: int = 2
@@ -329,20 +296,42 @@ def c45_fit(ds: Dataset, rows=None, params: TreeParams | None = None,
     return _fit_tree(ds, codes, values, ds.labels[rows], params, weights, feature_sample, rng)
 
 
-def tree_predict_batch(tree: DecisionTree, rows) -> np.ndarray:
-    """Class distribution of each row's leaf. The rows descend together one
-    level per step, each step moving every row not yet at a leaf."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != tree.n_features:
+def _stacked_leaves(trees, rows):
+    """Walk every (tree, row) pair at once, with the trees stacked end to end.
+
+    The trees' node arrays are concatenated and their child indices shifted
+    by each tree's offset, so one walker per pair starts at its tree's root.
+    Each step moves every walker not yet at a leaf one level down: left when
+    its row's cell is <= the split's threshold, right otherwise (NaN too).
+    Returns the stacked leaf distributions and, per tree, each row's leaf
+    index into them (trees x rows).
+    """
+    flat = np.ascontiguousarray(rows, dtype=np.float64)
+    if flat.ndim != 2 or any(tree.n_features != flat.shape[1] for tree in trees):
         raise InputError("batch shape does not match the tree's feature count")
-    node = np.zeros(rows.shape[0], dtype=np.int64)
-    moving = np.flatnonzero(tree.feature[node] >= 0)
+    n, d = flat.shape
+    flat = flat.ravel()
+    offsets = np.cumsum([0] + [tree.feature.size for tree in trees[:-1]])
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    # children[2 * node] is the left child, children[2 * node + 1] the right one
+    children = np.concatenate([np.column_stack([tree.left, tree.right]) + offset
+                               for tree, offset in zip(trees, offsets)]).ravel()
+    node = np.repeat(offsets, n)
+    cell = np.tile(np.arange(0, n * d, d), len(trees))  # each walker's row start in flat
+    moving = np.flatnonzero(feature[node] >= 0)
     while moving.size:
         at = node[moving]
-        go_left = rows[moving, tree.feature[at]] <= tree.threshold[at]
-        node[moving] = at = np.where(go_left, tree.left[at], tree.right[at])
-        moving = moving[tree.feature[at] >= 0]
-    return tree.value[node]
+        go_right = ~(flat[cell[moving] + feature[at]] <= threshold[at])
+        node[moving] = at = children[2 * at + go_right]
+        moving = moving[feature[at] >= 0]
+    return np.concatenate([tree.value for tree in trees]), node.reshape(len(trees), n)
+
+
+def tree_predict_batch(tree: DecisionTree, rows) -> np.ndarray:
+    """Class distribution of each row's leaf."""
+    value, leaves = _stacked_leaves([tree], rows)
+    return value[leaves[0]]
 
 
 def tree_height(tree: DecisionTree) -> int:
@@ -507,11 +496,12 @@ def forest_pa_fit(ds: Dataset, rows=None, n_trees: int = 100,
 
 
 def forest_predict_batch(forest: Forest, rows) -> np.ndarray:
-    """Arithmetic mean of the member trees' leaf distributions for each row."""
-    rows = np.asarray(rows, dtype=np.float64)
-    acc = np.zeros((rows.shape[0], forest.n_classes), dtype=np.float64)
-    for tree in forest.trees:
-        acc += tree_predict_batch(tree, rows)
+    """Arithmetic mean of the member trees' leaf distributions for each row,
+    summed in tree order."""
+    value, leaves = _stacked_leaves(forest.trees, rows)
+    acc = np.zeros((leaves.shape[1], forest.n_classes), dtype=np.float64)
+    for leaf in leaves:
+        acc += value[leaf]
     return acc / len(forest.trees)
 
 

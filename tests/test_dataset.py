@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from idsforge import dataset
 from idsforge.cli import main
 from idsforge.dataset import (NONFINITE_TOKENS, _ZERO_FILLED, Dataset, FeatureMeta,
                               PreprocessReport, RawTable, _parse_numeric,
@@ -66,6 +67,19 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_csv(str(tmp_path / "nope.csv"), label_column=0)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 8192])
+    def test_codes_do_not_depend_on_read_block(self, tmp_path, monkeypatch, block_rows):
+        """The int32 code buffer grows by doubling as blocks arrive and is
+        trimmed at the end; every block size gives the same cells."""
+        rng = np.random.default_rng(4)
+        rows = [[str(v) for v in rng.integers(0, 5, 3)] + [str(rng.choice(["a", "b"]))]
+                for _ in range(50)]
+        path = write_csv(tmp_path, "x,y,z,class\n" + "".join(",".join(r) + "\n" for r in rows))
+        monkeypatch.setattr(dataset, "_READ_BLOCK_ROWS", block_rows)
+        raw = load_csv(path, label_column="class")
+        assert [column_cells(raw, j) for j in range(4)] == [list(c) for c in zip(*rows)]
+        assert all(c.dtype == np.int32 and c.shape == (50,) for c in raw.codes)
 
 
 class TestFilter:

@@ -10,18 +10,50 @@ from hypothesis import strategies as st
 
 from idsforge.errors import InputError
 from idsforge.trees import (DecisionTree, Forest, TreeParams, _best_split,
-                            _value_codes, c45_fit,
-                            entropy, forest_pa_fit, forest_predict_batch,
-                            gain_ratio, load_model, model_from_doc,
-                            model_to_doc, rf_fit, save_model, split_info,
-                            tree_height, tree_predict_batch, weight_increment,
-                            weight_range)
+                            _value_codes, c45_fit, entropy, forest_pa_fit,
+                            forest_predict_batch, load_model, model_from_doc,
+                            model_to_doc, rf_fit, save_model, tree_height,
+                            tree_predict_batch, weight_increment, weight_range)
 
 from conftest import DATA_DIR, make_blobs, make_dataset, make_tied_dataset
 
 
+def split_info(partition_sizes) -> float:
+    """Entropy of the partition-size distribution (how evenly a split cuts)."""
+    return entropy(partition_sizes)
+
+
+def gain_ratio(parent_counts, child_counts_list) -> float:
+    """Information gain divided by split info, 0 when the gain or the split
+    info is not positive: the textbook formula, scored partition by partition,
+    that the count-table split search must agree with."""
+    parent = np.asarray(parent_counts, dtype=np.float64)
+    children = [np.asarray(c, dtype=np.float64) for c in child_counts_list]
+    if not children:
+        raise InputError("no child partitions")
+    stacked = np.zeros_like(parent)
+    for ch in children:
+        if ch.shape != parent.shape:
+            raise InputError("child count vector has wrong length")
+        stacked = stacked + ch
+    if not np.array_equal(stacked, parent):
+        raise InputError("child counts do not partition the parent counts")
+    total = parent.sum()
+    gain = entropy(parent)
+    sizes = []
+    for ch in children:
+        size = ch.sum()
+        sizes.append(size)
+        if size > 0:
+            gain -= size / total * entropy(ch)
+    info = split_info(sizes)
+    if info <= 0 or gain <= 0:
+        return 0.0
+    return float(gain / info)
+
+
 def brute_force_best_split(X, y, n_classes, min_leaf=1):
-    """Exhaustive (feature, threshold) search scored with the public
+    """Exhaustive (feature, threshold) search scored with the oracle
     gain_ratio; ties prefer the lowest feature, then the lowest threshold."""
     best = (-1.0, None, None)
     parent = np.bincount(y, minlength=n_classes)
@@ -122,6 +154,18 @@ def oracle_leaf(tree, row):
         go_left = row[tree.feature[node]] <= tree.threshold[node]
         node = tree.left[node] if go_left else tree.right[node]
     return node
+
+
+def members(model):
+    return model.trees if isinstance(model, Forest) else [model]
+
+
+def oracle_mean(trees, rows):
+    """Mean of the trees' oracle leaf distributions, added in tree order."""
+    acc = np.zeros((len(rows), trees[0].n_classes))
+    for tree in trees:
+        acc += np.reshape([tree.value[oracle_leaf(tree, row)] for row in rows], acc.shape)
+    return acc / len(trees)
 
 
 def leaf_tree(distribution, n_features):
@@ -532,6 +576,58 @@ class TestForestPredict:
         probes = np.random.default_rng(3).random((200, 6))
         sums = forest.predict_batch(probes).sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def fitted_models():
+    ds = make_tied_dataset(seed=5, n=200, classes=3)
+    return {"c45": c45_fit(ds, params=TreeParams(min_leaf=1, min_gain=0.0)),
+            "rf": rf_fit(ds, n_trees=4, seed=5),
+            "forest_pa": forest_pa_fit(ds, n_trees=4, seed=5)}
+
+
+class TestStackedWalk:
+    """A tree or forest predicts in one walk over its trees stacked end to end."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_mean_bit_for_bit(self, fitted_models, data):
+        model = fitted_models[data.draw(st.sampled_from(sorted(fitted_models)))]
+        trees = members(model)
+        thresholds = sorted({t for tree in trees for t in tree.threshold[tree.feature >= 0]})
+        cell = (st.sampled_from(thresholds) | st.sampled_from([math.nan, math.inf, -math.inf])
+                | st.floats(-0.5, 1.5))
+        d = model.n_features
+        probes = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                                             max_size=12)), dtype=np.float64).reshape(-1, d)
+        predict = forest_predict_batch if isinstance(model, Forest) else tree_predict_batch
+        assert predict(model, probes).tobytes() == oracle_mean(trees, probes).tobytes()
+
+    @pytest.mark.parametrize("name", ["c45", "rf", "forest_pa"])
+    def test_zero_row_batch(self, fitted_models, name):
+        model = fitted_models[name]
+        assert model.predict_batch(np.empty((0, model.n_features))).shape == (0, model.n_classes)
+
+    def test_forest_of_unequal_widths_rejected(self):
+        forest = Forest([leaf_tree([1.0, 0.0], 2), leaf_tree([0.0, 1.0], 3)],
+                        "random_forest", [0, 1])
+        for width in (2, 3):
+            with pytest.raises(InputError):
+                forest_predict_batch(forest, np.zeros((4, width)))
+
+    @pytest.mark.parametrize("name", ["c45", "rf", "forest_pa"])
+    def test_document_with_zero_depths_predicts_like_oracle(self, fitted_models, name):
+        """The walk stops when every walker is at a leaf, never after a
+        number of levels read from depth, which the loader does not check."""
+        doc = model_to_doc(fitted_models[name])
+        assert max(tree_height(tree) for tree in members(fitted_models[name])) > 1
+        for tree_doc in doc.get("trees", [doc]):
+            for node in tree_doc["nodes"]:
+                node["depth"] = 0
+        model = model_from_doc(doc)
+        probes = np.random.default_rng(6).uniform(-0.5, 1.5, (200, model.n_features))
+        assert model.predict_batch(probes).tobytes() == \
+            oracle_mean(members(model), probes).tobytes()
 
 
 def first_leaf(doc):
