@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .dataset import (Dataset, FeatureMeta, FoldAssignment, PreprocessReport,
-                      RawTable, encode, filter_table, load_csv, normalize,
+                      RawTable, encode, encode_scaled, filter_table, load_csv, normalize,
                       read_dataset_artifact, select_features, stratified_folds,
                       write_dataset_artifact)
 from .ensemble import (CombinationRule, CombineResult, VoteEnsemble, combine,

@@ -19,9 +19,10 @@ NONFINITE_TOKENS = frozenset({"Infinity", "-Infinity", "NaN"})
 _ZERO_FILLED = dict.fromkeys(("", *NONFINITE_TOKENS), "0")
 
 ARTIFACT_VERSION = 1
-# Rows of dataset.csv joined at once. A block holds one pointer per cell into
-# its column's spellings; the writer keeps nothing per cell beyond one block.
-_WRITE_BLOCK_ROWS = 8192
+# Cells of dataset.csv joined at once, so a block's rows shrink as columns
+# grow. A block holds one pointer per cell into its column's spellings plus
+# its joined rows; the writer keeps nothing per cell beyond one block.
+_WRITE_BLOCK_CELLS = 1 << 17
 # Rows of input read before their cell codes move from a list of Python ints
 # into an int32 array, so no per-cell pointer list outlives one block.
 _READ_BLOCK_ROWS = 8192
@@ -184,8 +185,11 @@ class Dataset:
             raise InputError("features must be a 2-d matrix")
         if labels.shape != (feats.shape[0],):
             raise InputError("labels length does not match feature rows")
-        if not np.isfinite(feats).all():
-            raise InputError("features contain NaN or infinite values")
+        # min and max propagate NaN and reach any infinity, so together they
+        # test every cell without an n x d mask; NaN raises no FP warning here.
+        with np.errstate(invalid="ignore"):
+            if feats.size and not (np.isfinite(feats.min()) and np.isfinite(feats.max())):
+                raise InputError("features contain NaN or infinite values")
         if len(self.feature_meta) != feats.shape[1]:
             raise InputError("feature_meta length does not match feature columns")
         c = len(self.class_names)
@@ -405,6 +409,22 @@ def encode(raw: RawTable, normal_class_name: str | None = None) -> Dataset:
     way. normal_class_name picks the benign class; when omitted, a class named
     "normal" or "benign" (case-insensitive) is used, else class 0.
     """
+    features, meta, labels, class_names, normal = _encoded(raw, normal_class_name)
+    return _sealed(features, meta, labels, class_names, normal)
+
+
+def encode_scaled(raw: RawTable, normal_class_name: str | None = None) -> Dataset:
+    """normalize(encode(raw, normal_class_name)), bit for bit, holding one
+    float matrix: the encoded matrix is scaled in place before any Dataset
+    holds it."""
+    features, meta, labels, class_names, normal = _encoded(raw, normal_class_name)
+    _scale_in_place(features, meta)
+    return _sealed(features, meta, labels, class_names, normal)
+
+
+def _encoded(raw: RawTable, normal_class_name):
+    """encode's parts: the writable float64 feature matrix, its metadata,
+    the read-only labels, the class names and the normal class index."""
     if raw.n_rows == 0:
         raise InputError("cannot encode an empty table")
     label_j = raw.label_column
@@ -436,8 +456,13 @@ def encode(raw: RawTable, normal_class_name: str | None = None) -> Dataset:
     class_names = list(raw.tokens[label_j])
     normal = _resolve_normal_class(class_names, normal_class_name)
     labels = raw.codes[label_j].astype(np.int64)
-    features.setflags(write=False)
     labels.setflags(write=False)
+    return features, meta, labels, class_names, normal
+
+
+def _sealed(features, meta, labels, class_names, normal) -> Dataset:
+    """A Dataset that adopts features, which no one else holds, read-only."""
+    features.setflags(write=False)
     return Dataset(
         features=features,
         feature_meta=meta,
@@ -464,29 +489,30 @@ def normalize(ds: Dataset) -> Dataset:
 
     Scaling uses the current column extremes, so applying it twice is the
     identity; feature_meta keeps the original observed range. The scaled
-    matrix is the only new one: each step after the first works in place.
+    matrix is the only new one, laid out like ds.features, and is scaled
+    in place.
     """
-    mins = ds.features.min(axis=0)
-    maxs = ds.features.max(axis=0)
+    scaled = np.array(ds.features, order="K")
+    _scale_in_place(scaled, ds.feature_meta)
+    return _sealed(scaled, ds.feature_meta, ds.labels, ds.class_names, ds.normal_class)
+
+
+def _scale_in_place(features: np.ndarray, meta) -> None:
+    """Min-max scale each column of a writable matrix onto [0, 1] in place;
+    InputError naming the first constant column."""
+    mins = features.min(axis=0)
+    maxs = features.max(axis=0)
     flat = np.flatnonzero(maxs == mins)
     if flat.size:
-        name = ds.feature_meta[int(flat[0])].name
+        name = meta[int(flat[0])].name
         raise InputError(f"feature {name!r} is constant and cannot be min-max scaled")
     # A range wider than the largest double (e.g. -1e308..1e308) overflows,
     # so such a column is halved first; times 1, every other column keeps its bits.
     with np.errstate(over="ignore"):
         k = np.where(np.isinf(maxs - mins), 0.5, 1.0)
-    scaled = ds.features * k
-    scaled -= mins * k
-    scaled /= maxs * k - mins * k
-    scaled.setflags(write=False)
-    return Dataset(
-        features=scaled,
-        feature_meta=ds.feature_meta,
-        labels=ds.labels,
-        class_names=ds.class_names,
-        normal_class=ds.normal_class,
-    )
+    features *= k
+    features -= mins * k
+    features /= maxs * k - mins * k
 
 
 def select_features(ds: Dataset, indices) -> Dataset:
@@ -573,10 +599,11 @@ def write_dataset_artifact(ds: Dataset, out_dir, report: PreprocessReport | None
     spellings = [np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
                  for bits in distinct]
     labels = np.array(_label_spellings(ds.class_names, alone=not columns), dtype=object)
+    block_rows = max(1, _WRITE_BLOCK_CELLS // (len(columns) + 1))
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(ds.feature_names + [label_name])
-        for start in range(0, ds.n_rows, _WRITE_BLOCK_ROWS):
-            block = slice(start, start + _WRITE_BLOCK_ROWS)
+        for start in range(0, ds.n_rows, block_rows):
+            block = slice(start, start + block_rows)
             cells = [spelled[np.searchsorted(values, bits[block])].tolist()
                      for spelled, values, bits in zip(spellings, distinct, columns)]
             cells.append(labels[ds.labels[block]].tolist())

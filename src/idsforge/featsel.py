@@ -140,7 +140,11 @@ def _information_table(ds: Dataset, bins: int):
         raise InputError("need at least 2 bins")
     if ds.n_rows == 0:
         raise InputError("empty dataset")
-    codes = [_bin_column(ds.features[:, j], bins) for j in range(ds.n_features)]
+    # A code is below both bins and the row count, so the narrowest unsigned
+    # type that holds the smaller of them keeps every code: one byte at 10 bins.
+    code_type = np.min_scalar_type(min(bins, ds.n_rows) - 1)
+    codes = [_bin_column(ds.features[:, j], bins).astype(code_type)
+             for j in range(ds.n_features)]
     labels = ds.labels.astype(np.int64)
     entropies = [entropy(np.bincount(c)) for c in codes]
     h_class = entropy(np.bincount(labels))
@@ -152,8 +156,8 @@ def _information_table(ds: Dataset, bins: int):
 
 def _joint_codes(a: np.ndarray, b: np.ndarray, width_b: int) -> np.ndarray:
     """a * width_b + b in int64, one code per pair of values, for codes b in
-    [0, width_b). With --bins user-set, the joint code of two int32 bin codes
-    can pass 2**31."""
+    [0, width_b). With --bins user-set, the joint code of two bin codes can
+    pass 2**31."""
     joint = np.multiply(a, width_b, dtype=np.int64)
     joint += b
     return joint

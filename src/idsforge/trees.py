@@ -306,6 +306,8 @@ def _stacked_leaves(trees, rows):
     Returns the stacked leaf distributions and, per tree, each row's leaf
     index into them (trees x rows).
     """
+    if not trees:
+        raise InputError("a forest needs at least one tree")
     flat = np.ascontiguousarray(rows, dtype=np.float64)
     if flat.ndim != 2 or any(tree.n_features != flat.shape[1] for tree in trees):
         raise InputError("batch shape does not match the tree's feature count")

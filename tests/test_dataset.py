@@ -18,8 +18,9 @@ from idsforge.cli import main
 from idsforge.dataset import (NONFINITE_TOKENS, _ZERO_FILLED, Dataset, FeatureMeta,
                               PreprocessReport, RawTable, _parse_numeric,
                               _resolve_label_column, _resolve_normal_class, decode_symbol, encode,
-                              filter_table, load_csv, normalize, read_dataset_artifact,
-                              select_features, stratified_folds, write_dataset_artifact)
+                              encode_scaled, filter_table, load_csv, normalize,
+                              read_dataset_artifact, select_features, stratified_folds,
+                              write_dataset_artifact)
 from idsforge.errors import InputError
 
 from conftest import column_cells, coded_table, make_dataset
@@ -381,6 +382,48 @@ class TestNormalize:
         assert list(out.features[:, 1]) == [0.0, 0.3, 1.0]
 
 
+@st.composite
+def unfiltered_tables(draw):
+    """RawTables that filter_table has not seen: 0-12 rows of 1-4 feature
+    columns that are numeric, symbolic, mixed or -1e308..1e308, constant
+    columns included, and a label column of 1-5 classes."""
+    n = draw(st.integers(0, 12))
+    pools = draw(st.lists(st.sampled_from([NUMERIC_CELLS[4:], SYMBOLIC_CELLS,
+                                           NUMERIC_CELLS + SYMBOLIC_CELLS, ("-1e308", "1e308")]),
+                          min_size=1, max_size=4))
+    pools.append(RAW_LABELS)
+    columns = [draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)) for pool in pools]
+    names = [f"f{j}" for j in range(len(pools) - 1)] + ["class"]
+    return coded_table(names, columns, len(pools) - 1)
+
+
+class TestEncodeScaled:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=unfiltered_tables(), normal=st.sampled_from([None, "dos", "absent"]))
+    @example(raw=coded_table(["wide", "class"], [["-1e308", "0", "1e308"], ["a", "b", "a"]], 1),
+             normal=None)
+    def test_equals_normalize_of_encode(self, raw, normal):
+        """Features to the bit, meta, labels, class names and normal class,
+        or the same InputError."""
+        try:
+            expected = normalize(encode(raw, normal))
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                encode_scaled(raw, normal)
+            assert str(got.value) == str(exc)
+            return
+        assert_same_dataset(encode_scaled(raw, normal), expected)
+
+    def test_constant_column_named(self):
+        """filter_table drops constant columns; unfiltered, 0 and -0 are one value."""
+        raw = coded_table(["v", "zero", "class"],
+                          [["1", "2", "3"], ["0", "-0", "0"], ["a", "b", "a"]], 2)
+        for scale in (encode_scaled, lambda r: normalize(encode(r))):
+            with pytest.raises(InputError,
+                               match="^feature 'zero' is constant and cannot be min-max scaled$"):
+                scale(raw)
+
+
 def dealt_row_by_row(ds, k, seed):
     """Fold assignment by the per-row dealing loop that stratified_folds
     replaced with one vectorised step per class."""
@@ -623,6 +666,17 @@ class TestDatasetInvariants:
         with pytest.raises(InputError):
             make_dataset([[np.nan], [1.0]], [0, 1])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (2, 1), (4, 2)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rejects_nonfinite_anywhere(self, value, cell, order):
+        """First, middle and last cell of a C- or F-ordered matrix, the
+        layouts that encode and select_features hand over."""
+        features = np.array(np.arange(15.0).reshape(5, 3), order=order)
+        features[cell] = value
+        with pytest.raises(InputError, match="NaN or infinite"):
+            make_dataset(features, [0, 1, 0, 1, 0])
+
     def test_rejects_missing_class(self):
         with pytest.raises(InputError):
             Dataset(
@@ -784,6 +838,13 @@ class TestMemoryPerCell:
     the bound; int64 codes or a defensive copy of a matrix exceed it."""
 
     BOUND = 20.0
+    # load_csv -> filter_table -> encode_scaled holds the int32 codes and one
+    # float64 matrix (12 B per cell) plus the distinct tokens; encode then
+    # normalize holds two float64 matrices (16.8 B per cell).
+    SCALED_BOUND = 13.5
+    # The writer above the Dataset it writes: one block of cell spellings and
+    # joined rows. 8,192-row blocks at 40 columns took 13.5-15 B per cell.
+    WRITER_BOUND = 10.0
 
     def test_ingest_and_read_artifact(self, tmp_path):
         path = str(tmp_path / "in.csv")
@@ -794,3 +855,17 @@ class TestMemoryPerCell:
         read = traced_peak(lambda: read_dataset_artifact(art))
         assert preprocess / cells <= self.BOUND, f"preprocess: {preprocess / cells:.1f} B per cell"
         assert read / cells <= self.BOUND, f"read_dataset_artifact: {read / cells:.1f} B per cell"
+
+    def test_encode_scaled_chain(self, tmp_path):
+        path = str(tmp_path / "in.csv")
+        cells = write_traffic_csv(path, 20_000)
+        peak = traced_peak(lambda: encode_scaled(filter_table(load_csv(path, "class"))[0]))
+        assert peak / cells <= self.SCALED_BOUND, f"{peak / cells:.1f} B per cell"
+
+    def test_writer_above_its_dataset(self, tmp_path):
+        path = str(tmp_path / "in.csv")
+        cells = write_traffic_csv(path, 20_000)
+        ds = encode_scaled(filter_table(load_csv(path, "class"))[0])
+        peak = traced_peak(lambda: write_dataset_artifact(ds, str(tmp_path / "art"),
+                                                          label_name="class"))
+        assert peak / cells <= self.WRITER_BOUND, f"{peak / cells:.1f} B per cell"

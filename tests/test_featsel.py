@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from idsforge.dataset import normalize
 from idsforge.errors import InputError
 from idsforge.featsel import (BatSwarmConfig, CorrelationCache, FeatureSubset,
-                              _bin_column, _joint_codes, binarize, build_correlation_cache,
+                              _bin_column, _information_table, _joint_codes, binarize,
+                              build_correlation_cache,
                               cfs_ba_select, cfs_merit, exhaustive_best_subset,
                               ig_rank, igr_rank, local_walk)
 
@@ -72,28 +73,51 @@ def scored_datasets(draw):
     return ds, draw(st.integers(min_value=2, max_value=12))
 
 
+def assert_scorers_match_oracle(ds, bins):
+    """The cache and both rankings, bit for bit, against the per-pair oracle
+    on int32 codes from _bin_column."""
+    d = ds.n_features
+    codes = [_bin_column(ds.features[:, j], bins) for j in range(d)]
+    labels = ds.labels.astype(np.int64)
+    fc = np.array([oracle_symmetric_uncertainty(codes[j], labels) for j in range(d)])
+    ff = np.eye(d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            ff[i, j] = ff[j, i] = oracle_symmetric_uncertainty(codes[i], codes[j])
+    gains = [oracle_mutual_information(codes[j], labels) for j in range(d)]
+    ratios = [g / oracle_entropy(codes[j]) if oracle_entropy(codes[j]) > 0 else 0.0
+              for j, g in enumerate(gains)]
+
+    cache = build_correlation_cache(ds, bins)
+    assert cache.feature_class.tobytes() == fc.tobytes()
+    assert cache.feature_feature.tobytes() == ff.tobytes()
+    assert ig_rank(ds, bins) == sorted(enumerate(gains), key=lambda p: (-p[1], p[0]))
+    assert igr_rank(ds, bins) == sorted(enumerate(ratios), key=lambda p: (-p[1], p[0]))
+
+
 class TestInformationTable:
     @settings(max_examples=80, deadline=None)
     @given(case=scored_datasets())
     def test_scorers_match_per_pair_oracle_exactly(self, case):
-        ds, bins = case
-        d = ds.n_features
-        codes = [_bin_column(ds.features[:, j], bins) for j in range(d)]
-        labels = ds.labels.astype(np.int64)
-        fc = np.array([oracle_symmetric_uncertainty(codes[j], labels) for j in range(d)])
-        ff = np.eye(d)
-        for i in range(d):
-            for j in range(i + 1, d):
-                ff[i, j] = ff[j, i] = oracle_symmetric_uncertainty(codes[i], codes[j])
-        gains = [oracle_mutual_information(codes[j], labels) for j in range(d)]
-        ratios = [g / oracle_entropy(codes[j]) if oracle_entropy(codes[j]) > 0 else 0.0
-                  for j, g in enumerate(gains)]
+        assert_scorers_match_oracle(*case)
 
-        cache = build_correlation_cache(ds, bins)
-        assert cache.feature_class.tobytes() == fc.tobytes()
-        assert cache.feature_feature.tobytes() == ff.tobytes()
-        assert ig_rank(ds, bins) == sorted(enumerate(gains), key=lambda p: (-p[1], p[0]))
-        assert igr_rank(ds, bins) == sorted(enumerate(ratios), key=lambda p: (-p[1], p[0]))
+    @pytest.mark.parametrize("bins, code_type", [(2, np.uint8), (10, np.uint8),
+                                                 (256, np.uint8), (257, np.uint16)])
+    def test_narrow_codes_score_like_int32_codes(self, bins, code_type):
+        """Codes are held in the narrowest unsigned type for bins - 1; 257
+        bins cross from one byte to two. Columns of 2, 40, 256, 257 and 900
+        levels pass through or bin into quantiles on either side of that."""
+        rng = np.random.default_rng(3)
+        n = 900
+        labels = rng.permutation(np.arange(n) % 3)
+        feats = np.column_stack([rng.permutation(np.arange(n) % k) / k
+                                 for k in (2, 40, 256, 257, 900)])
+        feats[:, 4] += labels  # one column carries the label
+        ds = make_dataset(feats, labels)
+        codes = _information_table(ds, bins)[0]
+        assert {c.dtype for c in codes} == {np.dtype(code_type)}
+        assert max(int(c.max()) for c in codes) == bins - 1
+        assert_scorers_match_oracle(ds, bins)
 
     @settings(max_examples=150, deadline=None)
     @given(x=st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.0, 5e-324])

@@ -615,6 +615,12 @@ class TestStackedWalk:
             with pytest.raises(InputError):
                 forest_predict_batch(forest, np.zeros((4, width)))
 
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_empty_forest_rejected(self, rows):
+        forest = Forest([], "random_forest", [])
+        with pytest.raises(InputError, match="at least one tree"):
+            forest_predict_batch(forest, np.zeros((rows, 2)))
+
     @pytest.mark.parametrize("name", ["c45", "rf", "forest_pa"])
     def test_document_with_zero_depths_predicts_like_oracle(self, fitted_models, name):
         """The walk stops when every walker is at a leaf, never after a
