@@ -4,7 +4,8 @@
 Writes a toy CSV (symbolic protocol column, one constant column, a couple of
 informative features), then drives the full pipeline: preprocess -> subset
 selection -> cross-validated ensemble evaluation, leaving all artifacts under
-an output directory.
+an output directory. It also selects by information gain and evaluates a c45
+on an explicit feature list, so every kind of subset source runs end to end.
 
 Usage: python scripts/run_synthetic_demo.py [out_dir] [seed]
 """
@@ -63,6 +64,11 @@ def main():
          "--subset-file", os.path.join(sel_dir, "subset.json"),
          "--classifiers", "c45,rf,forest_pa", "--n-trees", "25",
          "--k", "5", "--seed", seed, "--out", eval_dir])
+    # The other subset sources: a ranking selector and an explicit index list.
+    run(["select", "--input", prep_dir, "--selector", "ig", "--top", "3",
+         "--out", os.path.join(out_dir, "selection_ig")])
+    run(["evaluate", "--input", prep_dir, "--features", "0,1", "--classifiers", "c45",
+         "--k", "5", "--seed", seed, "--out", os.path.join(out_dir, "evaluation_list")])
 
     with open(os.path.join(eval_dir, "report.json"), encoding="utf-8") as fh:
         report = json.load(fh)

@@ -27,8 +27,7 @@ from .dataset import encode, normalize  # noqa: F401
 from .ensemble import CombinationRule
 from .errors import InputError
 from .evaluation import ClassifierSpec, cross_validate
-from .featsel import (BatSwarmConfig, cfs_ba_select, ig_rank, igr_rank,
-                      selection_report)
+from .featsel import BatSwarmConfig, cfs_ba_select, ig_rank, igr_rank
 from .stats import (ALPHAS, RankTable, friedman_from_mean_ranks, friedman_test,
                     load_metric_table, nemenyi_cd, rank_algorithms)
 from .trees import TreeParams
@@ -109,15 +108,7 @@ class Options:
 
 
 def _thread_count(opts: Options) -> int:
-    threads = opts.get("threads", None, int)
-    if threads is None:
-        env = os.environ.get("IDSFORGE_THREADS")
-        if not env:
-            return os.cpu_count() or 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise InputError(f"IDSFORGE_THREADS={env!r} is not an integer") from None
+    threads = opts.get("threads", os.cpu_count() or 1, int)
     if threads < 1:
         raise InputError(f"thread count must be at least 1, got {threads}")
     return threads
@@ -178,10 +169,12 @@ def _read_subset_file(path) -> list[int]:
     return selected
 
 
-def _checked_indices(ds, indices: list[int]) -> list[int]:
-    """The feature indices sorted and without repeats; rejects any outside
-    0 <= i < n_features."""
-    indices = sorted(set(indices))
+def _checked_indices(ds, indices) -> list[int]:
+    """The feature indices sorted and without repeats; rejects an empty list
+    and any index outside 0 <= i < n_features."""
+    indices = sorted({int(i) for i in indices})
+    if not indices:
+        raise InputError("the feature subset is empty")
     for i in indices:
         if not 0 <= i < ds.n_features:
             raise InputError(f"feature index {i} out of range; the dataset has "
@@ -189,56 +182,65 @@ def _checked_indices(ds, indices: list[int]) -> list[int]:
     return indices
 
 
-def _run_selector(ds, opts: Options):
-    """Returns a dict with selected/names plus selector-specific fields."""
-    selector = opts.get("selector", "cfs-ba")
-    if selector not in SELECTORS:
+def _selection(ds, opts: Options, fallback: str | None) -> dict | None:
+    """The feature subset that select writes as subset.json and evaluate
+    trains on and reports as report.json["selection"], or None when no
+    source is given and there is no fallback selector.
+
+    The first source given wins: --subset-file, then --features, then
+    --selector, then the fallback. ig and igr keep their indices in rank
+    order; every other source's are sorted and without repeats. seconds
+    times the whole resolution, selector run included.
+    """
+    start = time.perf_counter()
+    subset_file, features = opts.get("subset-file"), opts.get("features")
+    selector = opts.get("selector")
+    if selector is not None and selector not in SELECTORS:
         raise InputError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
-    bins = opts.get("bins", 10, int)
-    if selector == "cfs-ba":
+    source = ("file" if subset_file is not None else "list" if features is not None
+              else selector or fallback)
+    if source is None:
+        return None
+    if selector not in (None, source):
+        flag = "--subset-file" if source == "file" else "--features"
+        print(f"note: {flag} takes precedence over --selector {selector}", file=sys.stderr)
+
+    payload = {"selector": source, "merit": None}
+    if source == "file":
+        indices = _read_subset_file(subset_file)
+    elif source == "list":
+        if features is None:
+            raise InputError("selector 'list' needs --features")
+        indices = _parse_feature_list(features)
+    elif source == "none":
+        indices = range(ds.n_features)
+    elif source == "cfs-ba":
         config = BatSwarmConfig(**opts.given({**SWARM_FLAGS, "seed": ("seed", int, None)}))
-        subset, trace = cfs_ba_select(ds, config, bins=bins)
-        payload = selection_report(subset, trace, ds)
-        payload["selector"] = selector
-        return payload
-    if selector in ("ig", "igr"):
-        ranked = ig_rank(ds, bins) if selector == "ig" else igr_rank(ds, bins)
+        subset, trace = cfs_ba_select(ds, config, bins=opts.get("bins", 10, int))
+        indices = subset.indices
+        payload.update(merit=trace.best_merit,
+                       best_merit_per_iteration=list(trace.best_merit_per_iteration),
+                       iterations=len(trace.best_merit_per_iteration) - 1,
+                       evaluations=trace.evaluations)
+    else:
+        rank = ig_rank if source == "ig" else igr_rank
+        ranked = rank(ds, opts.get("bins", 10, int))
         top = opts.get("top", 10, int)
         if top < 1:
             raise InputError("--top must be at least 1")
-        top = min(top, ds.n_features)
-        chosen = ranked[:top]  # kept in rank order, best first
+        chosen = ranked[:top]
         indices = [i for i, _ in chosen]
-        return {
-            "selector": selector,
-            "selected": indices,
-            "names": [ds.feature_meta[i].name for i in indices],
-            "merit": None,
-            "scores": [s for _, s in chosen],
-            "seconds": 0.0,
-        }
-    if selector == "none":
-        indices = list(range(ds.n_features))
-    else:  # list
-        text = opts.get("features")
-        if text is None:
-            raise InputError("selector 'list' needs --features")
-        indices = _checked_indices(ds, _parse_feature_list(text))
-    return {
-        "selector": selector,
-        "selected": indices,
-        "names": [ds.feature_meta[i].name for i in indices],
-        "merit": None,
-        "seconds": 0.0,
-    }
+        payload["scores"] = [s for _, s in chosen]
+    if source not in ("ig", "igr"):
+        indices = _checked_indices(ds, indices)
+    payload.update(selected=indices, names=[ds.feature_meta[i].name for i in indices],
+                   seconds=time.perf_counter() - start)
+    return payload
 
 
 def cmd_select(opts: Options) -> int:
     ds = read_dataset_artifact(opts.require("input"))
-    start = time.perf_counter()
-    payload = _run_selector(ds, opts)
-    if payload.get("seconds") == 0.0:
-        payload["seconds"] = time.perf_counter() - start
+    payload = _selection(ds, opts, fallback="cfs-ba")
     out_dir = opts.get("out", "selection")
     _write_json(os.path.join(out_dir, "subset.json"), payload)
     with open(os.path.join(out_dir, "subset.txt"), "w", encoding="utf-8") as fh:
@@ -261,25 +263,6 @@ def _classifier_specs(opts: Options) -> list[ClassifierSpec]:
     return [ClassifierSpec(kind=k, params=params, **opts.given(FOREST_FLAGS)) for k in kinds]
 
 
-def _resolve_features(ds, opts: Options):
-    """(feature indices, selection block) for evaluate, or (None, None) for
-    every feature. The indices are sorted and without repeats whatever their
-    source, so the order in which a subset file or ranking lists them does
-    not change the result."""
-    subset_file = opts.get("subset-file")
-    features = opts.get("features")
-    selector = opts.get("selector")
-    if subset_file or features:
-        listed = _read_subset_file(subset_file) if subset_file else _parse_feature_list(features)
-        indices = _checked_indices(ds, listed)
-        return indices, {"selector": "file" if subset_file else "list", "selected": indices,
-                         "names": [ds.feature_meta[i].name for i in indices]}
-    if selector and selector != "none":
-        payload = _run_selector(ds, opts)
-        return _checked_indices(ds, payload["selected"]), payload
-    return None, None
-
-
 def _confusion_to_csv(cm, path) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -300,7 +283,10 @@ def cmd_evaluate(opts: Options) -> int:
     out_dir = opts.get("out", "evaluation")
 
     specs = _classifier_specs(opts)
-    indices, selection = _resolve_features(ds, opts)
+    selection = _selection(ds, opts, fallback=None)
+    # A subset of every column trains on the artifact's own matrix, uncopied.
+    indices = (sorted(selection["selected"])
+               if selection and len(selection["selected"]) < ds.n_features else None)
 
     ensemble_cv = cross_validate(ds, specs, k=k, repeats=repeats, seed=seed, rule=rule,
                                  feature_indices=indices, threads=threads, adr_mode=adr_mode)
@@ -456,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="cross-validate classifiers and their ensemble")
     common(p)
     p.add_argument("--threads", type=int,
-                   help="worker threads (default: IDSFORGE_THREADS or machine parallelism)")
+                   help="worker threads (default: machine parallelism)")
     p.add_argument("--input", help="dataset artifact directory")
     selection(p)
     p.add_argument("--subset-file", help="subset.json or subset.txt from 'select'")

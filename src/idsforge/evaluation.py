@@ -40,11 +40,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merged(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if self.class_names != other.class_names:
-            raise InputError("cannot merge confusion matrices over different classes")
-        return ConfusionMatrix(self.counts + other.counts, self.class_names)
-
 
 def confusion_from_predictions(y_true, y_pred, class_names) -> ConfusionMatrix:
     c = len(class_names)

@@ -4,7 +4,6 @@ binary bat-algorithm swarm, plus information-gain filter baselines."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +110,6 @@ class SelectionTrace:
 
     best_merit_per_iteration: tuple[float, ...]
     evaluations: int
-    seconds: float
 
     @property
     def best_merit(self) -> float:
@@ -275,7 +273,6 @@ def cfs_ba_select(ds: Dataset, config: BatSwarmConfig | None = None,
     if d < 2:
         raise InputError("need at least 2 features to search")
 
-    start = time.perf_counter()
     cache = build_correlation_cache(ds, bins)
     guard = int(np.argmax(cache.feature_class))
     rng = np.random.default_rng(config.seed)
@@ -320,7 +317,6 @@ def cfs_ba_select(ds: Dataset, config: BatSwarmConfig | None = None,
     return best_subset, SelectionTrace(
         best_merit_per_iteration=tuple(trace),
         evaluations=n * (config.max_iterations + 1),
-        seconds=time.perf_counter() - start,
     )
 
 
@@ -355,17 +351,3 @@ def igr_rank(ds: Dataset, bins: int = 10) -> list[tuple[int, float]]:
     """Features ordered by gain ratio IG / H(feature); zero-entropy features score 0."""
     _, entropies, _, gains = _information_table(ds, bins)
     return _ranked([g / h if h > 0 else 0.0 for g, h in zip(gains, entropies)])
-
-
-def selection_report(subset: FeatureSubset, trace: SelectionTrace, ds: Dataset) -> dict:
-    """JSON-ready summary of a selection run."""
-    indices = [int(i) for i in subset.indices]
-    return {
-        "selected": indices,
-        "names": [ds.feature_meta[i].name for i in indices],
-        "merit": trace.best_merit,
-        "best_merit_per_iteration": [float(m) for m in trace.best_merit_per_iteration],
-        "iterations": len(trace.best_merit_per_iteration) - 1,
-        "evaluations": trace.evaluations,
-        "seconds": trace.seconds,
-    }

@@ -309,19 +309,17 @@ class TestEvaluate:
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("value", ["0", "-3"])
-    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
     def test_thread_count_below_one_exit_code(self, artifact_dir, tmp_path, capsys,
-                                              monkeypatch, source, value):
+                                              source, value):
         argv = ["evaluate", "--input", artifact_dir, "--classifiers", "rf",
                 "--n-trees", "2", "--k", "3", "--out", str(tmp_path / "out")]
         if source == "flag":
             argv.append(f"--threads={value}")
-        elif source == "config":
+        else:
             config = tmp_path / "threads.conf"
             config.write_text(f"threads = {value}\n", encoding="utf-8")
             argv += ["--config", str(config)]
-        else:
-            monkeypatch.setenv("IDSFORGE_THREADS", value)
         assert main(argv) == 2
         assert "thread count must be at least 1" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
@@ -387,6 +385,85 @@ class TestEvaluate:
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSelection:
+    """select and evaluate resolve their feature subset the same way."""
+
+    def test_select_honours_features(self, artifact_dir, tmp_path):
+        out = str(tmp_path / "sel")
+        assert main(["select", "--input", artifact_dir, "--features", "2,0",
+                     "--out", out]) == 0
+        payload = read_json(os.path.join(out, "subset.json"))
+        assert payload["selector"] == "list"
+        assert payload["selected"] == [0, 2]
+        assert read_text(os.path.join(out, "subset.txt")) == "0,2\n"
+
+    def test_evaluate_times_its_selector(self, artifact_dir, tmp_path):
+        out = str(tmp_path / "eval")
+        assert main(["evaluate", "--input", artifact_dir, "--selector", "ig", "--top", "3",
+                     "--classifiers", "c45", "--k", "3", "--out", out]) == 0
+        assert read_json(os.path.join(out, "report.json"))["selection"]["seconds"] > 0
+
+    def test_evaluate_without_source_reports_no_selection(self, artifact_dir, tmp_path):
+        out = str(tmp_path / "eval")
+        assert main(["evaluate", "--input", artifact_dir, "--classifiers", "c45",
+                     "--k", "3", "--out", out]) == 0
+        report = read_json(os.path.join(out, "report.json"))
+        assert report["selection"] is None
+        assert report["config"]["threads"] == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("source", ["file", "list", "none", "ig", "igr", "cfs-ba"])
+    def test_select_and_evaluate_agree(self, artifact_dir, tmp_path, source):
+        subset = tmp_path / "subset.txt"
+        subset.write_text("4,1,1\n", encoding="utf-8")
+        config = tmp_path / "subset.conf"
+        config.write_text(f"subset-file = {subset}\n", encoding="utf-8")
+        flags = {
+            "file": ["--config", str(config)],
+            "list": ["--features", "3,0,3"],
+            "none": ["--selector", "none"],
+            "ig": ["--selector", "ig", "--top", "3"],
+            "igr": ["--selector", "igr", "--top", "3"],
+            "cfs-ba": ["--selector", "cfs-ba", "--iterations", "5", "--seed", "2"],
+        }[source]
+        sel, ev = str(tmp_path / "sel"), str(tmp_path / "eval")
+        assert main(["select", "--input", artifact_dir, *flags, "--out", sel]) == 0
+        assert main(["evaluate", "--input", artifact_dir, *flags, "--classifiers", "c45",
+                     "--k", "3", "--out", ev]) == 0
+        written = read_json(os.path.join(sel, "subset.json"))
+        reported = read_json(os.path.join(ev, "report.json"))["selection"]
+        assert written["selector"] == source
+        assert set(written) == set(reported)
+        assert written["selected"] == reported["selected"]
+        assert without_run_varying(written) == without_run_varying(reported)
+
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--selector", "list"], "selector 'list' needs --features"),
+        (["--features="], "the feature subset is empty"),
+    ], ids=["list-without-features", "empty-features"])
+    def test_missing_or_empty_list_exit_code(self, artifact_dir, tmp_path, capsys,
+                                             command, flags, message):
+        out = tmp_path / "out"
+        extra = ["--classifiers", "c45", "--k", "3"] if command == "evaluate" else []
+        assert main([command, "--input", artifact_dir, *flags, *extra,
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    def test_features_take_precedence_over_selector(self, artifact_dir, tmp_path, capsys,
+                                                    command):
+        out = str(tmp_path / "out")
+        extra = ["--classifiers", "c45", "--k", "3"] if command == "evaluate" else []
+        assert main([command, "--input", artifact_dir, "--selector", "ig",
+                     "--features", "0,1", *extra, "--out", out]) == 0
+        assert "note: --features takes precedence over --selector ig" in capsys.readouterr().err
+        doc = read_json(os.path.join(out, "subset.json" if command == "select"
+                                     else "report.json"))
+        selection = doc if command == "select" else doc["selection"]
+        assert (selection["selector"], selection["selected"]) == ("list", [0, 1])
 
 
 class TestReproducibility:
@@ -495,30 +572,6 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "idsforge" in proc.stdout
-
-    def test_threads_env_fallback(self, artifact_dir, tmp_path):
-        out_a = str(tmp_path / "env_a")
-        out_b = str(tmp_path / "env_b")
-        env = dict(os.environ, IDSFORGE_THREADS="2")
-        for out in (out_a, out_b):
-            proc = subprocess.run(
-                [sys.executable, "-m", "idsforge", "evaluate",
-                 "--input", artifact_dir, "--classifiers", "rf",
-                 "--n-trees", "4", "--k", "3", "--seed", "2", "--out", out],
-                capture_output=True, text=True, encoding="utf-8", env=env,
-            )
-            assert proc.returncode == 0, proc.stderr
-        a = read_json(os.path.join(out_a, "report.json"))
-        b = read_json(os.path.join(out_b, "report.json"))
-        assert a["config"]["threads"] == 2
-        for doc in (a, b):
-            doc["created_utc"] = None
-            for block in doc["results"].values():
-                block["mbt_seconds"] = None
-            for reports in doc["per_repeat"].values():
-                for block in reports:
-                    block["mbt_seconds"] = None
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 # Cell spellings a capture may hold: blanks, non-finite and extreme numbers,

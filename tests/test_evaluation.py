@@ -96,12 +96,6 @@ class TestConfusionMatrix:
         assert cm.total == 5
         assert list(cm.counts.sum(axis=1)) == [2, 2, 1]
 
-    def test_merge_requires_same_classes(self):
-        a = confusion_from_predictions([0], [0], ["x", "y"])
-        b = confusion_from_predictions([0], [0], ["x", "z"])
-        with pytest.raises(InputError):
-            a.merged(b)
-
 
 class TestCrossValidate:
     def test_majority_classifier_on_balanced_data(self):
