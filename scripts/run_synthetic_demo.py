@@ -4,8 +4,11 @@
 Writes a toy CSV (symbolic protocol column, one constant column, a couple of
 informative features), then drives the full pipeline: preprocess -> subset
 selection -> cross-validated ensemble evaluation, leaving all artifacts under
-an output directory. It also selects by information gain and evaluates a c45
-on an explicit feature list, so every kind of subset source runs end to end.
+an output directory. The evaluation runs twice: once reading the artifact's
+binary companion dataset.npy and once, with the companion deleted, parsing
+dataset.csv; the script fails unless both give the same confusion.csv. It
+also selects by information gain and evaluates a c45 on an explicit feature
+list, so every kind of subset source runs end to end.
 
 Usage: python scripts/run_synthetic_demo.py [out_dir] [seed]
 """
@@ -60,10 +63,21 @@ def main():
          "--normal-class", "normal", "--out", prep_dir])
     run(["select", "--input", prep_dir, "--selector", "cfs-ba",
          "--seed", seed, "--iterations", "50", "--out", sel_dir])
-    run(["evaluate", "--input", prep_dir,
-         "--subset-file", os.path.join(sel_dir, "subset.json"),
-         "--classifiers", "c45,rf,forest_pa", "--n-trees", "25",
-         "--k", "5", "--seed", seed, "--out", eval_dir])
+    evaluate = ["evaluate", "--input", prep_dir,
+                "--subset-file", os.path.join(sel_dir, "subset.json"),
+                "--classifiers", "c45,rf,forest_pa", "--n-trees", "25",
+                "--k", "5", "--seed", seed, "--out"]
+    run(evaluate + [eval_dir])
+    # Both read paths of the artifact: the companion above, dataset.csv here.
+    os.remove(os.path.join(prep_dir, "dataset.npy"))
+    csv_eval_dir = os.path.join(out_dir, "evaluation_from_csv")
+    run(evaluate + [csv_eval_dir])
+    confusions = []
+    for directory in (eval_dir, csv_eval_dir):
+        with open(os.path.join(directory, "confusion.csv"), "rb") as fh:
+            confusions.append(fh.read())
+    if confusions[0] != confusions[1]:
+        raise SystemExit("confusion.csv differs between the companion and dataset.csv reads")
     # The other subset sources: a ranking selector and an explicit index list.
     run(["select", "--input", prep_dir, "--selector", "ig", "--top", "3",
          "--out", os.path.join(out_dir, "selection_ig")])

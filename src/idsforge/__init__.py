@@ -14,8 +14,7 @@ from .evaluation import (ClassifierSpec, ConfusionMatrix, CrossValResult,
                          confusion_from_predictions, cross_validate)
 from .featsel import (BatSwarmConfig, CorrelationCache, FeatureSubset,
                       SelectionTrace, binarize, build_correlation_cache,
-                      cfs_ba_select, cfs_merit, exhaustive_best_subset,
-                      ig_rank, igr_rank, local_walk)
+                      cfs_ba_select, cfs_merit, ig_rank, igr_rank, local_walk)
 from .stats import (FriedmanResult, NemenyiResult, RankTable,
                     f_distribution_sf, friedman_from_mean_ranks, friedman_test,
                     load_metric_table, nemenyi_cd, rank_algorithms,

@@ -7,6 +7,8 @@ import io
 import itertools
 import json
 import os
+import re
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,8 @@ _WRITE_BLOCK_CELLS = 1 << 17
 # Rows of input read before their cell codes move from a list of Python ints
 # into an int32 array, so no per-cell pointer list outlives one block.
 _READ_BLOCK_ROWS = 8192
+# Bytes of a file read at once while its CRC-32 is formed.
+_CHECK_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -585,14 +589,30 @@ def _label_spellings(class_names, alone: bool) -> list[str]:
 
 def write_dataset_artifact(ds: Dataset, out_dir, report: PreprocessReport | None = None,
                            label_name: str = "label") -> None:
-    """Write the canonical dataset artifact: dataset.csv plus a JSON sidecar.
+    """Write the canonical dataset artifact: dataset.csv, a JSON sidecar and
+    the binary companion dataset.npy.
 
     dataset.csv holds the bytes csv.writer writes for each row of Python
     floats and class name, but each distinct value of a column is spelled
-    once: distinct by bits, so -0.0 keeps its own spelling.
+    once: distinct by bits, so -0.0 keeps its own spelling. dataset.npy holds
+    three np.save records: an ASCII check (the byte size and CRC-32 of
+    dataset.csv and of dataset.meta.json, then the CRC-32 of the two arrays),
+    the int64 labels and the C-ordered float64 features. InputError when
+    dataset.csv would not read back as this dataset: class names that
+    repeat, or a label name that a feature column would shadow.
     """
+    if len(set(ds.class_names)) != len(ds.class_names):
+        raise InputError("class names are not distinct")
+    # The reader drops a leading byte-order mark and takes the first column
+    # of the label's name, which has to be the last column.
+    header = ds.feature_names + [label_name]
+    read_back = [header[0].removeprefix("\ufeff"), *header[1:]]
+    if label_name not in read_back or read_back.index(label_name) != len(header) - 1:
+        raise InputError(f"label name {label_name!r} would not read back as the last "
+                         f"column of dataset.csv: a feature has that name")
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "dataset.csv")
+    meta_path = os.path.join(out_dir, "dataset.meta.json")
     columns = [column.view(np.int64) for column in ds.features.T]
     distinct = [np.unique(bits) for bits in columns]
     # csv writes a Python float as its repr, the shortest exact spelling.
@@ -601,7 +621,7 @@ def write_dataset_artifact(ds: Dataset, out_dir, report: PreprocessReport | None
     labels = np.array(_label_spellings(ds.class_names, alone=not columns), dtype=object)
     block_rows = max(1, _WRITE_BLOCK_CELLS // (len(columns) + 1))
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(ds.feature_names + [label_name])
+        csv.writer(fh).writerow(header)
         for start in range(0, ds.n_rows, block_rows):
             block = slice(start, start + block_rows)
             cells = [spelled[np.searchsorted(values, bits[block])].tolist()
@@ -626,9 +646,81 @@ def write_dataset_artifact(ds: Dataset, out_dir, report: PreprocessReport | None
         ],
         "preprocess_report": report.to_dict() if report is not None else None,
     }
-    with open(os.path.join(out_dir, "dataset.meta.json"), "w", encoding="utf-8") as fh:
+    with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+    # a column-major matrix (select_features gives one) is copied row-major
+    labels = np.ascontiguousarray(ds.labels)
+    features = np.ascontiguousarray(ds.features)
+    check = _companion_check(csv_path, meta_path) + _arrays_crc(labels, features)
+    with open(os.path.join(out_dir, "dataset.npy"), "wb") as fh:
+        # on an open file, np.save writes a contiguous array with tofile, uncopied
+        for array in (np.frombuffer(check, dtype=np.uint8), labels, features):
+            np.save(fh, array)
+
+
+def _companion_check(csv_path, meta_path) -> bytes:
+    """A companion's check up to the CRC-32 of its arrays: the byte size and
+    CRC-32 of dataset.csv and of dataset.meta.json."""
+    files = []
+    for path in (csv_path, meta_path):
+        size = crc = 0
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(_CHECK_CHUNK), b""):
+                size += len(chunk)
+                crc = zlib.crc32(chunk, crc)
+        files.append(b"%d %08x" % (size, crc))
+    return b"dataset.csv %s dataset.meta.json %s arrays " % tuple(files)
+
+
+def _arrays_crc(labels, features) -> bytes:
+    """The CRC-32 of the labels' bytes then the features', 8 hex digits."""
+    return b"%08x" % zlib.crc32(features, zlib.crc32(labels))
+
+
+def _npy_header(dtype, shape) -> bytes:
+    """The bytes np.save writes before the data of a C-ordered array of dtype
+    and shape: the magic string, format version 1.0 and the padded header."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+        "fortran_order": False,
+        "shape": shape,
+    })
+    return out.getvalue()
+
+
+def _read_companion(path, csv_path, meta_path, n_features):
+    """Read-only (labels, features) from the companion at path, or None
+    unless it holds exactly the records write_dataset_artifact writes for
+    the current bytes of csv_path and meta_path and for the arrays it holds."""
+    with open(path, "rb") as fh:
+        check = _companion_check(csv_path, meta_path)
+        first = _npy_header(np.uint8, (len(check) + 8,)) + check
+        if fh.read(len(first)) != first:
+            return None
+        arrays_crc = fh.read(8)
+        size_left = os.fstat(fh.fileno()).st_size - fh.tell()
+        head = fh.read(10)
+        head += fh.read(int.from_bytes(head[8:], "little"))
+        rows = re.search(rb"'shape': \((\d{1,18}),\)", head)
+        n = int(rows[1]) if rows else 0
+        tail = _npy_header(np.float64, (n, n_features))
+        if (head != _npy_header(np.int64, (n,))
+                or size_left != len(head) + len(tail) + 8 * n * (1 + n_features)):
+            return None
+        labels = np.empty(n, dtype=np.int64)
+        features = np.empty((n, n_features), dtype=np.float64)
+        if (fh.readinto(labels) != labels.nbytes or fh.read(len(tail)) != tail
+                or fh.readinto(features) != features.nbytes):
+            return None
+    if _arrays_crc(labels, features) != arrays_crc:
+        return None
+    # no one else holds them, so the Dataset adopts them
+    labels.setflags(write=False)
+    features.setflags(write=False)
+    return labels, features
 
 
 # The JSON types of the sidecar's fields and of each feature_meta entry.
@@ -651,13 +743,18 @@ def _check_fields(doc, fields, where) -> None:
 def read_dataset_artifact(path) -> Dataset:
     """Load a dataset written by write_dataset_artifact.
 
-    path is the artifact directory (or the dataset.csv inside it).
+    path is the artifact directory (or the dataset.csv inside it). The
+    sidecar is always parsed and checked. Labels and features come from the
+    companion dataset.npy when its check matches the current bytes of
+    dataset.csv and the sidecar and its arrays; otherwise, a missing, stale,
+    truncated or malformed companion alike, dataset.csv is parsed.
     """
     if os.path.isdir(path):
         csv_path = os.path.join(path, "dataset.csv")
     else:
         csv_path = path
-    meta_path = os.path.join(os.path.dirname(csv_path), "dataset.meta.json")
+    artifact_dir = os.path.dirname(csv_path)
+    meta_path = os.path.join(artifact_dir, "dataset.meta.json")
     try:
         with open(meta_path, encoding="utf-8") as fh:
             sidecar = json.load(fh)
@@ -675,10 +772,31 @@ def read_dataset_artifact(path) -> Dataset:
     meta = [FeatureMeta(**{key: m[key] for key in _FEATURE_FIELDS})
             for m in sidecar["feature_meta"]]
 
-    raw = load_csv(csv_path, label_column=sidecar["label_name"], has_header=True)
-    if raw.n_columns != len(meta) + 1:
+    try:
+        companion = _read_companion(os.path.join(artifact_dir, "dataset.npy"), csv_path,
+                                    meta_path, len(meta))
+    except OSError:
+        companion = None
+    if companion is None:
+        labels, features = _read_csv_arrays(csv_path, sidecar["label_name"], class_names,
+                                            len(meta))
+    else:
+        labels, features = companion
+    return Dataset(
+        features=features,
+        feature_meta=meta,
+        labels=labels,
+        class_names=class_names,
+        normal_class=sidecar["normal_class"],
+    )
+
+
+def _read_csv_arrays(csv_path, label_name, class_names, n_features):
+    """Read-only (labels, features) parsed from an artifact's dataset.csv."""
+    raw = load_csv(csv_path, label_column=label_name, has_header=True)
+    if raw.n_columns != n_features + 1:
         raise InputError("dataset.csv column count does not match sidecar metadata")
-    features = np.empty((raw.n_rows, len(meta)), dtype=np.float64)
+    features = np.empty((raw.n_rows, n_features), dtype=np.float64)
     feature_js = [j for j in range(raw.n_columns) if j != raw.label_column]
     for out_j, j in enumerate(feature_js):
         # one parse per distinct token; the first bad token in first-appearance
@@ -692,10 +810,4 @@ def read_dataset_artifact(path) -> Dataset:
     labels = np.array([class_index[tok] for tok in tokens], dtype=np.int64)[codes]
     features.setflags(write=False)
     labels.setflags(write=False)
-    return Dataset(
-        features=features,
-        feature_meta=meta,
-        labels=labels,
-        class_names=class_names,
-        normal_class=sidecar["normal_class"],
-    )
+    return labels, features

@@ -320,22 +320,6 @@ def cfs_ba_select(ds: Dataset, config: BatSwarmConfig | None = None,
     )
 
 
-def exhaustive_best_subset(cache: CorrelationCache) -> tuple[FeatureSubset, float]:
-    """Enumerate every nonempty subset; only feasible for small d."""
-    d = cache.n_features
-    if d > 20:
-        raise InputError("exhaustive enumeration is limited to 20 features")
-    best = None
-    best_merit = -math.inf
-    for bits in range(1, 1 << d):
-        mask = np.array([(bits >> j) & 1 for j in range(d)], dtype=bool)
-        subset = FeatureSubset(mask=mask)
-        merit = cfs_merit(subset, cache)
-        if best is None or _improves(merit, subset, best_merit, best):
-            best, best_merit = subset, merit
-    return best, best_merit
-
-
 def _ranked(scores: list[float]) -> list[tuple[int, float]]:
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
     return [(j, scores[j]) for j in order]

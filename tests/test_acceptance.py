@@ -14,12 +14,12 @@ import pytest
 from idsforge.dataset import encode, filter_table, load_csv, normalize
 from idsforge.ensemble import CombinationRule, combine
 from idsforge.evaluation import ClassifierSpec, cross_validate
-from idsforge.featsel import (BatSwarmConfig, build_correlation_cache,
-                              cfs_ba_select, exhaustive_best_subset)
+from idsforge.featsel import BatSwarmConfig, build_correlation_cache, cfs_ba_select
 from idsforge.stats import friedman_from_mean_ranks, nemenyi_cd
 from idsforge.trees import entropy, weight_increment, weight_range
 
 from conftest import make_blobs, make_search_dataset
+from test_featsel import exhaustive_best_subset
 from test_trees import gain_ratio, split_info
 
 ALGORITHMS = ["Voting", "Stacking", "AdaBoost", "GBM", "kNN", "CART", "MLP"]

@@ -603,6 +603,8 @@ def fuzz_tables(draw):
 # byte-order mark, a NUL, or any three bytes.
 RAW_BYTES = st.sampled_from((b"", b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80",
                              b"\xef\xbb\xbf", b"\x00")) | st.binary(max_size=3)
+# Subset files as select writes them and as a hand-written index list.
+SUBSET_TEXTS = ('{"selected": [0]}\n', '{"selected": [1, 0], "merit": null}\n', "0\n", "0,1\n")
 # Config lines: comments, blanks, keys that preprocess or stats read, and
 # lines that do not parse.
 CONFIG_LINES = ("# note", "", "seed = 3", "seed = x", "alpha-list = 0.05,0.1",
@@ -713,20 +715,45 @@ class TestFuzz:
     @settings(max_examples=100, deadline=None)
     @given(table=fuzz_tables(), metrics=metric_tables(), mode=st.sampled_from(STATS_MODES),
            config=st.lists(st.sampled_from(CONFIG_LINES), max_size=4),
-           target=st.sampled_from(["csv", "config", "stats"]), junk=RAW_BYTES,
+           subset=st.sampled_from(SUBSET_TEXTS),
+           target=st.sampled_from(["csv", "config", "stats", "subset", "npy"]), junk=RAW_BYTES,
            at=st.integers(min_value=0, max_value=200))
-    def test_raw_bytes_exit_zero_or_two(self, table, metrics, mode, config, target, junk, at):
+    def test_raw_bytes_exit_zero_or_two(self, table, metrics, mode, config, subset, target,
+                                        junk, at):
         """Bytes that may not be UTF-8, spliced into the input CSV, the config
-        file or the stats table: preprocess and stats exit 0 or 2."""
+        file, the stats table or a subset file: preprocess, stats and evaluate
+        exit 0 or 2. Spliced into the artifact's dataset.npy (at a share at/200
+        of its length), they leave select's output as it was."""
         rows, label = table
         texts = {"csv": csv_text(rows), "config": "".join(line + "\n" for line in config),
-                 "stats": csv_text(metrics)}
+                 "stats": csv_text(metrics), "subset": subset}
         with tempfile.TemporaryDirectory() as work:
             paths = {name: os.path.join(work, name) for name in texts}
             for name, text in texts.items():
                 write_fuzzed(paths[name], text, junk if name == target else b"", at)
             config = ["--config", paths["config"]]
-            assert main(["preprocess", "--input", paths["csv"], "--label-column", label,
-                         *config, "--out", os.path.join(work, "prep")]) in (0, 2)
+            prep = os.path.join(work, "prep")
+            code = main(["preprocess", "--input", paths["csv"], "--label-column", label,
+                         *config, "--out", prep])
+            assert code in (0, 2)
             assert main(["stats", "--input", paths["stats"], *mode, *config,
                          "--out", os.path.join(work, "stats")]) in (0, 2)
+            if code != 0:
+                return
+            if target == "subset":
+                assert main(["evaluate", "--input", prep, "--subset-file", paths["subset"],
+                             "--classifiers", "c45", "--k", "2", "--threads", "1",
+                             "--out", os.path.join(work, "eval")]) in (0, 2)
+            elif target == "npy":
+                select = ["select", "--input", prep, "--selector", "ig", "--top", "1", "--out"]
+                assert main([*select, os.path.join(work, "sel")]) == 0
+                companion = os.path.join(prep, "dataset.npy")
+                with open(companion, "rb") as fh:
+                    raw = fh.read()
+                where = at * len(raw) // 200
+                with open(companion, "wb") as fh:
+                    fh.write(raw[:where] + junk + raw[where:])
+                assert main([*select, os.path.join(work, "sel_fuzzed")]) == 0
+                assert without_run_varying(read_json(os.path.join(work, "sel", "subset.json"))) \
+                    == without_run_varying(read_json(os.path.join(work, "sel_fuzzed",
+                                                                  "subset.json")))

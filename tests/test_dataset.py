@@ -2,11 +2,13 @@ import csv
 import gc
 import io
 import itertools
+import json
 import os
 import re
 import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -645,6 +647,173 @@ class TestArtifact:
         assert back.feature_meta[0].symbol_codes == ds.feature_meta[0].symbol_codes
 
 
+def read_csv_only(art) -> Dataset:
+    """The artifact read from dataset.csv, with the companion set aside and
+    put back afterwards."""
+    companion = os.path.join(art, "dataset.npy")
+    os.rename(companion, companion + ".away")
+    try:
+        return read_dataset_artifact(art)
+    finally:
+        os.rename(companion + ".away", companion)
+
+
+def read_companion_only(art) -> Dataset:
+    """The artifact read with dataset.csv's parser disabled, so only the
+    companion can give the arrays."""
+    with mock.patch.object(dataset, "load_csv", side_effect=AssertionError("CSV parsed")):
+        return read_dataset_artifact(art)
+
+
+def assert_identical(got, expected):
+    """Same Dataset to the bit, layout and flags included."""
+    assert np.array_equal(got.features.view(np.int64), expected.features.view(np.int64))
+    assert got.features.shape == expected.features.shape
+    assert np.array_equal(got.labels, expected.labels)
+    assert got.class_names == expected.class_names
+    assert got.feature_meta == expected.feature_meta
+    assert got.normal_class == expected.normal_class
+    for a, b in ((got.features, expected.features), (got.labels, expected.labels)):
+        assert a.dtype == b.dtype
+        assert a.flags.c_contiguous == b.flags.c_contiguous
+        assert_sealed(a)
+        assert_sealed(b)
+
+
+def rewrite_companion(art, labels, features):
+    """Replace dataset.npy with three np.save records of the given arrays,
+    under the check write_dataset_artifact would give them."""
+    check = dataset._companion_check(os.path.join(art, "dataset.csv"),
+                                     os.path.join(art, "dataset.meta.json"))
+    check += dataset._arrays_crc(np.ascontiguousarray(labels), np.ascontiguousarray(features))
+    with open(os.path.join(art, "dataset.npy"), "wb") as fh:
+        for array in (np.frombuffer(check, dtype=np.uint8), labels, features):
+            np.save(fh, array)
+
+
+class TestCompanion:
+    @settings(max_examples=150, deadline=None)
+    @given(ds=artifact_datasets())
+    @example(ds=EDGE_DATASET)
+    def test_companion_read_equals_csv_read(self, ds):
+        with tempfile.TemporaryDirectory() as art:
+            write_dataset_artifact(ds, art, label_name="class")
+            from_companion = read_companion_only(art)
+            from_csv = read_csv_only(art)
+        assert_identical(from_companion, from_csv)
+        assert np.array_equal(from_csv.features.view(np.int64), ds.features.view(np.int64))
+
+    def test_written_from_the_datasets_arrays(self, tmp_path):
+        ds = EDGE_DATASET
+        write_dataset_artifact(ds, tmp_path)
+        with open(tmp_path / "dataset.npy", "rb") as fh:
+            check, labels, features = (np.load(fh) for _ in range(3))
+            assert fh.read() == b""
+        assert check.dtype == np.uint8 and labels.dtype == np.int64
+        assert features.dtype == np.float64 and features.flags.c_contiguous
+        assert np.array_equal(labels, ds.labels)
+        assert np.array_equal(features.view(np.int64), ds.features.view(np.int64))
+        text = check.tobytes().decode("ascii")
+        assert re.fullmatch(r"dataset\.csv \d+ [0-9a-f]{8} dataset\.meta\.json \d+ [0-9a-f]{8} "
+                            r"arrays [0-9a-f]{8}", text)
+        assert f"dataset.csv {os.path.getsize(tmp_path / 'dataset.csv')} " in text
+
+    def test_column_major_dataset_written_row_major(self, tmp_path):
+        ds = select_features(make_dataset(np.arange(12.0).reshape(4, 3), [0, 1, 0, 1]), [2, 0])
+        assert not ds.features.flags.c_contiguous
+        write_dataset_artifact(ds, tmp_path)
+        assert_identical(read_companion_only(str(tmp_path)), read_csv_only(str(tmp_path)))
+
+    def test_edited_cell_reads_back_edited(self, tmp_path):
+        ds = make_dataset([[0.25, 1.0], [0.5, 2.0], [0.75, 3.0]], [0, 1, 0])
+        write_dataset_artifact(ds, tmp_path)
+        rows = read_rows(tmp_path)
+        rows[2][0] = "0.125"
+        write_rows(tmp_path, rows)
+        back = read_dataset_artifact(str(tmp_path))
+        assert back.features[1, 0] == 0.125
+        assert np.array_equal(np.delete(back.features, 1, axis=0),
+                              np.delete(ds.features, 1, axis=0))
+
+    def test_reordered_class_names_honoured(self, tmp_path):
+        ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 2, 1],
+                          class_names=["normal", "dos", "probe"])
+        write_dataset_artifact(ds, tmp_path)
+        meta_path = tmp_path / "dataset.meta.json"
+        sidecar = json.loads(meta_path.read_text(encoding="utf-8"))
+        sidecar["class_names"] = ["probe", "normal", "dos"]
+        meta_path.write_text(json.dumps(sidecar), encoding="utf-8")
+        back = read_dataset_artifact(str(tmp_path))
+        assert back.class_names == ["probe", "normal", "dos"]
+        assert [back.class_names[i] for i in back.labels] == ["normal", "dos", "probe", "dos"]
+
+    @pytest.mark.parametrize("defect", [
+        "truncated header", "truncated features", "one byte more", "empty", "garbage",
+        "labels int32", "features float32", "features column-major", "stale check",
+        "arrays altered"])
+    def test_broken_companion_gives_csv_result(self, tmp_path, defect):
+        ds = make_dataset(np.arange(15.0).reshape(5, 3) / 7, [0, 1, 2, 0, 1])
+        write_dataset_artifact(ds, tmp_path)
+        path = tmp_path / "dataset.npy"
+        good = path.read_bytes()
+        art = str(tmp_path)
+        labels, features = ds.labels, ds.features
+        if defect == "truncated header":
+            path.write_bytes(good[:200])
+        elif defect == "truncated features":
+            path.write_bytes(good[:-8])
+        elif defect == "one byte more":
+            path.write_bytes(good + b"\0")
+        elif defect == "empty":
+            path.write_bytes(b"")
+        elif defect == "garbage":
+            path.write_bytes(np.random.default_rng(0).bytes(len(good)))
+        elif defect == "labels int32":
+            rewrite_companion(art, labels.astype(np.int32), features)
+        elif defect == "features float32":
+            rewrite_companion(art, labels, features.astype(np.float32))
+        elif defect == "features column-major":
+            rewrite_companion(art, labels, np.asfortranarray(features))
+        elif defect == "stale check":
+            # another artifact's companion
+            other = make_dataset(features + 1, labels)
+            write_dataset_artifact(other, tmp_path / "other")
+            path.write_bytes((tmp_path / "other" / "dataset.npy").read_bytes())
+        elif defect == "arrays altered":
+            # the stored check with other arrays behind it
+            altered = bytearray(good)
+            altered[-1] ^= 1
+            path.write_bytes(bytes(altered))
+        with mock.patch.object(dataset, "load_csv", wraps=dataset.load_csv) as parse:
+            back = read_dataset_artifact(art)
+        assert parse.called
+        os.remove(path)
+        assert_identical(back, read_dataset_artifact(art))
+
+    def test_companion_missing_csv_still_rejected(self, tmp_path):
+        write_dataset_artifact(make_dataset([[0.0], [1.0]], [0, 1]), tmp_path)
+        os.remove(tmp_path / "dataset.csv")
+        with pytest.raises(InputError, match="cannot read"):
+            read_dataset_artifact(str(tmp_path))
+
+    @pytest.mark.parametrize("names, label_name", [
+        (["a", "b"], "a"), (["a", "b"], "b"), (["\ufeffa", "b"], "a"), ([], "\ufeffa")])
+    def test_label_name_shadowed_by_a_feature_rejected(self, tmp_path, names, label_name):
+        """The reader would take another column, or none, as the label."""
+        features = np.zeros((2, len(names)))
+        features[1] = 1.0
+        ds = Dataset(features, [FeatureMeta(n, "numeric", 0.0, 1.0) for n in names],
+                     np.array([0, 1]), ["normal", "attack"], 0)
+        with pytest.raises(InputError, match=f"label name {re.escape(repr(label_name))}"):
+            write_dataset_artifact(ds, tmp_path / "art", label_name=label_name)
+        assert not (tmp_path / "art").exists()
+
+    def test_repeated_class_names_rejected(self, tmp_path):
+        ds = make_dataset([[0.0], [1.0]], [0, 1], class_names=["x", "x"])
+        with pytest.raises(InputError, match="class names are not distinct"):
+            write_dataset_artifact(ds, tmp_path / "art")
+
+
 class TestSelectFeatures:
     def test_projection(self):
         ds = make_dataset(np.arange(12).reshape(4, 3).astype(float), [0, 1, 0, 1])
@@ -838,6 +1007,9 @@ class TestMemoryPerCell:
     the bound; int64 codes or a defensive copy of a matrix exceed it."""
 
     BOUND = 20.0
+    # Reading the companion holds the float64 features and int64 labels, 8 B
+    # per cell at 39 features and a label; a copy of either matrix exceeds it.
+    COMPANION_BOUND = 8.5
     # load_csv -> filter_table -> encode_scaled holds the int32 codes and one
     # float64 matrix (12 B per cell) plus the distinct tokens; encode then
     # normalize holds two float64 matrices (16.8 B per cell).
@@ -852,8 +1024,11 @@ class TestMemoryPerCell:
         art = str(tmp_path / "art")
         write_dataset_artifact(scaled_table(path), art, label_name="class")
         preprocess = traced_peak(lambda: scaled_table(path))
-        read = traced_peak(lambda: read_dataset_artifact(art))
+        companion = traced_peak(lambda: read_companion_only(art))
+        read = traced_peak(lambda: read_csv_only(art))
         assert preprocess / cells <= self.BOUND, f"preprocess: {preprocess / cells:.1f} B per cell"
+        assert companion / cells <= self.COMPANION_BOUND, \
+            f"read_dataset_artifact, companion: {companion / cells:.2f} B per cell"
         assert read / cells <= self.BOUND, f"read_dataset_artifact: {read / cells:.1f} B per cell"
 
     def test_encode_scaled_chain(self, tmp_path):

@@ -10,12 +10,27 @@ from hypothesis import strategies as st
 from idsforge.dataset import normalize
 from idsforge.errors import InputError
 from idsforge.featsel import (BatSwarmConfig, CorrelationCache, FeatureSubset,
-                              _bin_column, _information_table, _joint_codes, binarize,
-                              build_correlation_cache,
-                              cfs_ba_select, cfs_merit, exhaustive_best_subset,
+                              _bin_column, _improves, _information_table, _joint_codes,
+                              binarize, build_correlation_cache, cfs_ba_select, cfs_merit,
                               ig_rank, igr_rank, local_walk)
 
 from conftest import DATA_DIR, make_dataset, make_leak_dataset, make_search_dataset
+
+
+def exhaustive_best_subset(cache: CorrelationCache) -> tuple[FeatureSubset, float]:
+    """Oracle for the swarm: the best CFS merit over every nonempty subset,
+    ties broken as cfs_ba_select breaks them; feasible only for small d."""
+    d = cache.n_features
+    assert d <= 20, "2**d subsets"
+    best = None
+    best_merit = -math.inf
+    for bits in range(1, 1 << d):
+        mask = np.array([(bits >> j) & 1 for j in range(d)], dtype=bool)
+        subset = FeatureSubset(mask=mask)
+        merit = cfs_merit(subset, cache)
+        if best is None or _improves(merit, subset, best_merit, best):
+            best, best_merit = subset, merit
+    return best, best_merit
 
 
 def make_cache(feature_class, feature_feature):
