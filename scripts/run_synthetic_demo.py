@@ -8,7 +8,12 @@ an output directory. The evaluation runs twice: once reading the artifact's
 binary companion dataset.npy and once, with the companion deleted, parsing
 dataset.csv; the script fails unless both give the same confusion.csv. It
 also selects by information gain and evaluates a c45 on an explicit feature
-list, so every kind of subset source runs end to end.
+list, so every kind of subset source runs end to end. Last, it fits c45, rf
+and forest_pa on three quarters of the rows, saves and reloads them, and
+scores the other rows through a VoteEnsemble under every combination rule;
+it fails unless the labels and distribution bytes equal those of the
+members' own predict_batch combined by combine_stack, and the labels equal
+single-row ensemble_predict.
 
 Usage: python scripts/run_synthetic_demo.py [out_dir] [seed]
 """
@@ -21,6 +26,10 @@ import sys
 import numpy as np
 
 from idsforge.cli import main as cli_main
+from idsforge.dataset import read_dataset_artifact
+from idsforge.ensemble import (CombinationRule, VoteEnsemble, combine_stack,
+                               ensemble_predict, ensemble_predict_batch)
+from idsforge.trees import c45_fit, forest_pa_fit, load_model, rf_fit, save_model
 
 
 def write_toy_csv(path, seed, n=400):
@@ -46,6 +55,37 @@ def run(argv):
     code = cli_main(argv)
     if code != 0:
         raise SystemExit(code)
+
+
+def check_saved_models(prep_dir, model_dir, seed):
+    """Fit, save and reload the three members, then score the held-out rows
+    through VoteEnsemble under every rule and check them against the members
+    scored one by one. Returns the held-out accuracy of the average rule."""
+    ds = read_dataset_artifact(prep_dir)
+    cut = ds.n_rows * 3 // 4
+    train = np.arange(cut)
+    fitted = {"c45": c45_fit(ds, train), "rf": rf_fit(ds, train, n_trees=10, seed=seed),
+              "forest_pa": forest_pa_fit(ds, train, n_trees=10, seed=seed)}
+    os.makedirs(model_dir, exist_ok=True)
+    members = []
+    for kind, model in fitted.items():
+        path = os.path.join(model_dir, f"{kind}.json")
+        save_model(model, path)
+        members.append(load_model(path))
+    held = ds.features[cut:]
+    one_by_one = np.stack([m.predict_batch(held) for m in members])
+    for rule in CombinationRule:
+        ens = VoteEnsemble(members=members, rule=rule)
+        labels, distributions = ensemble_predict_batch(ens, held)
+        want_labels, want_distributions = combine_stack(one_by_one, rule)
+        if not (np.array_equal(labels, want_labels)
+                and distributions.tobytes() == want_distributions.tobytes()):
+            raise SystemExit(f"ensemble and member-by-member scores differ under {rule.value}")
+        if [ensemble_predict(ens, row).label for row in held] != labels.tolist():
+            raise SystemExit(f"batch and single-row labels differ under {rule.value}")
+        if rule is CombinationRule.AVERAGE_OF_PROBABILITIES:
+            accuracy = float(np.mean(labels == ds.labels[cut:]))
+    return accuracy
 
 
 def main():
@@ -84,12 +124,15 @@ def main():
     run(["evaluate", "--input", prep_dir, "--features", "0,1", "--classifiers", "c45",
          "--k", "5", "--seed", seed, "--out", os.path.join(out_dir, "evaluation_list")])
 
+    saved_accuracy = check_saved_models(prep_dir, os.path.join(out_dir, "models"), int(seed))
+
     with open(os.path.join(eval_dir, "report.json"), encoding="utf-8") as fh:
         report = json.load(fh)
     print("\nper-classifier accuracy:")
     for name, block in sorted(report["results"].items()):
         print(f"  {name:10s} acc={block['accuracy']:.4f} far={block['far']:.4f} "
               f"adr={block['adr']:.4f} mbt={block['mbt_seconds']:.3f}s")
+    print(f"  saved models on held-out rows, average rule: acc={saved_accuracy:.4f}")
     print(f"\nartifacts in {out_dir}/")
 
 

@@ -50,12 +50,27 @@ class RawTable:
     label_column: int
 
     def __post_init__(self):
+        self._check(range(len(self.column_names)))
+
+    @classmethod
+    def _with_checked(cls, column_names, tokens, codes, label_column, unchecked):
+        """A table whose codes are those of checked tables, as they were
+        there, except the columns listed in unchecked, which are checked."""
+        table = cls.__new__(cls)
+        for name, value in zip(("column_names", "tokens", "codes", "label_column"),
+                               (column_names, tokens, codes, label_column)):
+            object.__setattr__(table, name, value)
+        table._check(unchecked)
+        return table
+
+    def _check(self, unchecked):
         width = len(self.column_names)
         if len(self.tokens) != width or len(self.codes) != width:
             raise InputError(f"{len(self.tokens)} token lists and {len(self.codes)} code "
                              f"arrays for {width} column names")
-        codes = [_checked_codes(c, len(tokens), name)
-                 for name, tokens, c in zip(self.column_names, self.tokens, self.codes)]
+        codes = list(self.codes)
+        for j in unchecked:
+            codes[j] = _checked_codes(codes[j], len(self.tokens[j]), self.column_names[j])
         object.__setattr__(self, "codes", codes)
         if not 0 <= self.label_column < width:
             raise InputError(f"label column index {self.label_column} out of range for {width} columns")
@@ -340,6 +355,7 @@ def filter_table(raw: RawTable) -> tuple[RawTable, PreprocessReport]:
     seen = {raw.column_names[label_j]}
     dropped_dup: list[str] = []
     dropped_const: list[str] = []
+    renumbered: set[str] = set()
     missing = 0
     nonfinite = 0
     for j, (name, column, coded) in enumerate(zip(raw.column_names, raw.tokens, raw.codes)):
@@ -360,6 +376,7 @@ def filter_table(raw: RawTable) -> tuple[RawTable, PreprocessReport]:
                 column = list(dict.fromkeys(filled))
                 renumber = dict(zip(column, itertools.count()))
                 coded = np.array([renumber[t] for t in filled], dtype=np.int32)[coded]
+                renumbered.add(name)
             if _is_constant(column, name):
                 dropped_const.append(name)
                 continue
@@ -377,8 +394,9 @@ def filter_table(raw: RawTable) -> tuple[RawTable, PreprocessReport]:
         rows_in=raw.n_rows,
         rows_out=raw.n_rows,
     )
-    return RawTable(column_names=names, tokens=tokens, codes=codes,
-                    label_column=label_out), report
+    # Only renumbered columns hold codes that raw's checks did not see.
+    unchecked = [k for k, name in enumerate(names) if name in renumbered]
+    return RawTable._with_checked(names, tokens, codes, label_out, unchecked), report
 
 
 def _is_constant(tokens, name) -> bool:

@@ -1,22 +1,22 @@
 """Combine per-classifier class distributions into one decision.
 
 Five combination rules are supported; the default pipeline uses the average
-of probabilities. A member is anything exposing n_features, n_classes and
-predict_batch(rows), which maps a (rows, n_features) array to a
-(rows, n_classes) array of class distributions; both tree model types
-provide them. Members predict only in batches: ensemble_predict classifies
+of probabilities. A VoteEnsemble's members are DecisionTree and Forest
+models; it stacks all their trees once, when it is built, and classifies a
+batch in one walk over them (trees.TreeStack). ensemble_predict classifies
 one row as a batch of one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
+from .trees import TreeStack
 
 
 class CombinationRule(enum.Enum):
@@ -97,41 +97,40 @@ def combine(distributions, rule: CombinationRule) -> CombineResult:
     return CombineResult(int(labels[0]), scores[0], warning)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VoteEnsemble:
-    """A fixed set of trained members sharing feature and class counts."""
+    """A fixed set of trained trees and forests sharing feature and class
+    counts. Their node arrays are copied into one TreeStack when the
+    ensemble is built; later changes to a member do not reach it."""
 
     members: list
     rule: CombinationRule = CombinationRule.AVERAGE_OF_PROBABILITIES
+    stack: TreeStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.members) < 1:
             raise InputError("ensemble needs at least one member")
-        c = self.members[0].n_classes
-        d = self.members[0].n_features
-        for m in self.members[1:]:
-            if m.n_classes != c or m.n_features != d:
-                raise InputError("ensemble members disagree on feature or class count")
+        object.__setattr__(self, "stack", TreeStack.of(self.members))
 
     @property
     def n_classes(self) -> int:
-        return self.members[0].n_classes
+        return self.stack.n_classes
 
     @property
     def n_features(self) -> int:
-        return self.members[0].n_features
+        return self.stack.n_features
 
 
 def ensemble_predict(ens: VoteEnsemble, row) -> CombineResult:
-    """Each member predicts the row as a batch of one, then the rule combines
-    the distributions."""
+    """The members' distributions of one row, walked as a batch of one, then
+    combined by the rule."""
     row = np.asarray(row, dtype=np.float64)
     if row.shape != (ens.n_features,):
         raise InputError(f"row has {row.size} values, ensemble expects {ens.n_features}")
-    return combine([m.predict_batch(row[None])[0] for m in ens.members], ens.rule)
+    return combine(ens.stack.predict(row[None])[:, 0], ens.rule)
 
 
 def ensemble_predict_batch(ens: VoteEnsemble, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized variant returning (labels, distributions) for many rows."""
-    rows = np.asarray(rows, dtype=np.float64)
-    return combine_stack(np.stack([m.predict_batch(rows) for m in ens.members]), ens.rule)
+    """(labels, distributions) for many rows: one walk over every member's
+    trees, then the rule over the (members, rows, classes) stack."""
+    return combine_stack(ens.stack.predict(rows), ens.rule)

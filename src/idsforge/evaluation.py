@@ -268,7 +268,8 @@ def cross_validate(ds: Dataset, members, k: int = 10, repeats: int = 1,
                 t0 = time.perf_counter()
                 models.append(fit(ds, train, _derived_seed(seed, r, f, i)))
                 fit_seconds.append(time.perf_counter() - t0)
-            stack = np.stack([m.predict_batch(ds.features[test]) for m in models])
+            test_rows = ds.features[test]
+            stack = np.stack([m.predict_batch(test_rows) for m in models])
             for g, group in enumerate(groups):
                 labels, _ = combine_stack(stack[group], rule)
                 cm = confusion_from_predictions(ds.labels[test], labels, ds.class_names)

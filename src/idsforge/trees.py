@@ -296,44 +296,116 @@ def c45_fit(ds: Dataset, rows=None, params: TreeParams | None = None,
     return _fit_tree(ds, codes, values, ds.labels[rows], params, weights, feature_sample, rng)
 
 
-def _stacked_leaves(trees, rows):
-    """Walk every (tree, row) pair at once, with the trees stacked end to end.
+# Most (tree, row) walkers a prediction keeps at once. A batch walks in
+# blocks of rows, so its walker state stays near this many entries however
+# many rows and trees there are.
+WALKERS_PER_BLOCK = 2**14
 
-    The trees' node arrays are concatenated and their child indices shifted
-    by each tree's offset, so one walker per pair starts at its tree's root.
-    Each step moves every walker not yet at a leaf one level down: left when
-    its row's cell is <= the split's threshold, right otherwise (NaN too).
-    Returns the stacked leaf distributions and, per tree, each row's leaf
-    index into them (trees x rows).
+
+def _member_trees(model) -> list:
+    """A tree as a one-tree member, or a forest's trees."""
+    if isinstance(model, DecisionTree):
+        return [model]
+    if isinstance(model, Forest):
+        if not model.trees:
+            raise InputError("a forest needs at least one tree")
+        return model.trees
+    raise InputError(f"cannot predict with a {type(model).__name__}; "
+                     "expected a DecisionTree or a Forest")
+
+
+@dataclass(frozen=True)
+class TreeStack:
+    """The trees of one or more models stacked end to end for one walk.
+
+    feature, threshold and value are the trees' node arrays concatenated.
+    children[2 * node] is a split's right child and children[2 * node + 1]
+    its left one, shifted by its tree's offset; a leaf is both children of
+    itself. roots holds each tree's root and owner each tree's model index;
+    counts holds each model's tree count. The arrays are copies, so later
+    changes to the models do not reach them.
     """
-    if not trees:
-        raise InputError("a forest needs at least one tree")
-    flat = np.ascontiguousarray(rows, dtype=np.float64)
-    if flat.ndim != 2 or any(tree.n_features != flat.shape[1] for tree in trees):
-        raise InputError("batch shape does not match the tree's feature count")
-    n, d = flat.shape
-    flat = flat.ravel()
-    offsets = np.cumsum([0] + [tree.feature.size for tree in trees[:-1]])
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    # children[2 * node] is the left child, children[2 * node + 1] the right one
-    children = np.concatenate([np.column_stack([tree.left, tree.right]) + offset
-                               for tree, offset in zip(trees, offsets)]).ravel()
-    node = np.repeat(offsets, n)
-    cell = np.tile(np.arange(0, n * d, d), len(trees))  # each walker's row start in flat
-    moving = np.flatnonzero(feature[node] >= 0)
-    while moving.size:
-        at = node[moving]
-        go_right = ~(flat[cell[moving] + feature[at]] <= threshold[at])
-        node[moving] = at = children[2 * at + go_right]
-        moving = moving[feature[at] >= 0]
-    return np.concatenate([tree.value for tree in trees]), node.reshape(len(trees), n)
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    owner: list[int]
+    counts: np.ndarray
+    n_features: int
+    n_classes: int
+
+    @classmethod
+    def of(cls, models) -> "TreeStack":
+        groups = [_member_trees(model) for model in models]
+        trees = [tree for group in groups for tree in group]
+        shapes = {(tree.n_features, tree.n_classes) for tree in trees}
+        if len(shapes) != 1:
+            raise InputError("the models' trees disagree on feature or class count")
+        (d, c), = shapes
+        roots = np.cumsum([0] + [tree.feature.size for tree in trees[:-1]])
+        feature = np.concatenate([tree.feature for tree in trees])
+        children = np.concatenate([np.column_stack([tree.right, tree.left]) + root
+                                   for tree, root in zip(trees, roots)])
+        leaf = np.flatnonzero(feature < 0)
+        children[leaf] = leaf[:, None]
+        return cls(feature=feature,
+                   threshold=np.concatenate([tree.threshold for tree in trees]),
+                   children=children.ravel(),
+                   value=np.concatenate([tree.value for tree in trees]),
+                   roots=roots,
+                   owner=[m for m, group in enumerate(groups) for _ in group],
+                   counts=np.array([len(group) for group in groups]),
+                   n_features=d, n_classes=c)
+
+    def predict(self, rows) -> np.ndarray:
+        """Each model's class distribution of each row: (models, rows, classes).
+
+        Every (tree, row) pair is a walker that starts at its tree's root.
+        Each step moves a walker at a split one level down, left when its
+        row's cell is <= the split's threshold and right otherwise (NaN too),
+        until every walker is at a leaf. A model's distribution is the sum of
+        its trees' leaf distributions, added in tree order to zeros, over its
+        tree count. Rows walk in blocks of at most WALKERS_PER_BLOCK walkers
+        (at least one row per block).
+        """
+        flat = np.ascontiguousarray(rows, dtype=np.float64)
+        if flat.ndim != 2 or flat.shape[1] != self.n_features:
+            raise InputError("batch shape does not match the model's feature count")
+        n, d = flat.shape
+        t = self.roots.size
+        out = np.empty((self.counts.size, n, self.n_classes))
+        block = max(1, WALKERS_PER_BLOCK // t)
+        for start in range(0, n, block):
+            b = min(block, n - start)
+            cells = flat[start:start + b].ravel()
+            node = np.repeat(self.roots, b)
+            moving = np.flatnonzero(self.feature[node] >= 0)
+            at, row = node[moving], moving % b * d  # row: each walker's row start in cells
+            feature = self.feature[at]
+            while moving.size:
+                # A walker at a leaf reads cell row - 1 (feature -1; cells is
+                # not empty while a walker is at a split) and stays where it
+                # is, its own child. Such walkers are dropped once they are at
+                # least half of those left.
+                go_left = cells[row + feature] <= self.threshold[at]
+                at = self.children[2 * at + go_left]
+                feature = self.feature[at]
+                live = feature >= 0
+                if 2 * np.count_nonzero(live) <= at.size:
+                    node[moving] = at
+                    moving, at, row, feature = moving[live], at[live], row[live], feature[live]
+            acc = np.zeros((self.counts.size, b, self.n_classes))
+            for m, leaves in zip(self.owner, node.reshape(t, b)):
+                acc[m] += self.value[leaves]
+            np.divide(acc, self.counts[:, None, None], out=out[:, start:start + b])
+        return out
 
 
 def tree_predict_batch(tree: DecisionTree, rows) -> np.ndarray:
     """Class distribution of each row's leaf."""
-    value, leaves = _stacked_leaves([tree], rows)
-    return value[leaves[0]]
+    return TreeStack.of([tree]).predict(rows)[0]
 
 
 def tree_height(tree: DecisionTree) -> int:
@@ -500,11 +572,7 @@ def forest_pa_fit(ds: Dataset, rows=None, n_trees: int = 100,
 def forest_predict_batch(forest: Forest, rows) -> np.ndarray:
     """Arithmetic mean of the member trees' leaf distributions for each row,
     summed in tree order."""
-    value, leaves = _stacked_leaves(forest.trees, rows)
-    acc = np.zeros((leaves.shape[1], forest.n_classes), dtype=np.float64)
-    for leaf in leaves:
-        acc += value[leaf]
-    return acc / len(forest.trees)
+    return TreeStack.of([forest]).predict(rows)[0]
 
 
 def _params_to_doc(params: TreeParams) -> dict:

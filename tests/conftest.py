@@ -1,10 +1,13 @@
+import gc
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from idsforge.dataset import (Dataset, FeatureMeta, RawTable, encode, filter_table, load_csv,
                               normalize)
+from idsforge.trees import DecisionTree, Forest, TreeParams
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -96,6 +99,49 @@ def make_leak_dataset(seed, n=120, d=5, classes=3):
     feats = rng.random((n, d))
     feats[:, 0] = labels
     return make_dataset(feats, labels)
+
+
+def traced_peak(work) -> int:
+    """Peak bytes traced while work() runs, above what was traced before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def oracle_leaf(tree, row):
+    """Index of the leaf a row lands in, found by walking the arrays one node
+    at a time: the reference for tree_predict_batch."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return node
+
+
+def members(model):
+    return model.trees if isinstance(model, Forest) else [model]
+
+
+def oracle_mean(trees, rows):
+    """Mean of the trees' oracle leaf distributions, added in tree order."""
+    acc = np.zeros((len(rows), trees[0].n_classes))
+    for tree in trees:
+        acc += np.reshape([tree.value[oracle_leaf(tree, row)] for row in rows], acc.shape)
+    return acc / len(trees)
+
+
+def leaf_tree(distribution, n_features):
+    """A tree that is a single leaf."""
+    return DecisionTree(feature=np.array([-1]), threshold=np.zeros(1), left=np.array([-1]),
+                        right=np.array([-1]), depth=np.array([0]),
+                        value=np.array([distribution], dtype=np.float64),
+                        n_features=n_features, n_classes=len(distribution),
+                        params=TreeParams())
 
 
 @pytest.fixture

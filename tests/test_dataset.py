@@ -1,12 +1,10 @@
 import csv
-import gc
 import io
 import itertools
 import json
 import os
 import re
 import tempfile
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -25,7 +23,7 @@ from idsforge.dataset import (NONFINITE_TOKENS, _ZERO_FILLED, Dataset, FeatureMe
                               write_dataset_artifact)
 from idsforge.errors import InputError
 
-from conftest import column_cells, coded_table, make_dataset
+from conftest import column_cells, coded_table, make_dataset, traced_peak
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -952,6 +950,18 @@ class TestRawTable:
         assert all(c.dtype == np.int32 for c in filter_table(raw)[0].codes)
         assert RawTable(["a", "b"], [["1", "2"], ["x", "y"]], [kept, [1, 0]], 1).codes[0] is kept
 
+    def test_filter_checks_only_renumbered_columns(self, tmp_path):
+        """load_csv's table checked every column; filter_table's checks the
+        one it renumbers (its blank became "0") and hands the others on."""
+        raw = load_csv(write_csv(tmp_path, "a,b,c,d\n1,,x,n\n2,5,y,a\n3,,x,n\n"), "d")
+        with mock.patch.object(dataset, "_checked_codes",
+                               side_effect=dataset._checked_codes) as check:
+            filtered, _ = filter_table(raw)
+        assert [c.args[2] for c in check.call_args_list] == ["b"]
+        assert column_cells(filtered, 1) == ["0", "5", "0"]
+        kept = [filtered.column_names.index(name) for name in ("a", "c", "d")]
+        assert all(filtered.codes[k] is raw.codes[k] for k in kept)
+
 
 def write_traffic_csv(path, rows, seed=0):
     """A capture-like table of 40 columns: three symbolic ones, 2-decimal
@@ -977,18 +987,6 @@ def write_traffic_csv(path, rows, seed=0):
         fh.write(",".join(columns) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*columns.values()))
     return rows * len(columns)
-
-
-def traced_peak(work) -> int:
-    """Peak bytes traced while work() runs, above what was traced before."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        work()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 def scaled_table(path) -> Dataset:

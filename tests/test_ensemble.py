@@ -1,16 +1,20 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idsforge import trees
 from idsforge.ensemble import (CombinationRule, VoteEnsemble, combine,
                                combine_stack, ensemble_predict,
                                ensemble_predict_batch)
 from idsforge.errors import InputError
 from idsforge.evaluation import ClassifierSpec, make_fitter
-from idsforge.trees import TreeParams, c45_fit
+from idsforge.trees import Forest, TreeParams, c45_fit, forest_pa_fit, rf_fit
 
-from conftest import make_blobs
+from conftest import leaf_tree, make_blobs, make_tied_dataset, members, oracle_mean
 
 ALL_RULES = list(CombinationRule)
 
@@ -200,12 +204,71 @@ class TestCombineStack:
             assert (scores == 0.25).all()
 
 
+@pytest.fixture(scope="module")
+def member_pool():
+    """Trees and forests over one 3-class, 6-feature table: fitted ones, a
+    single-leaf tree and a forest that mixes a leaf with a fitted tree."""
+    ds = make_tied_dataset(seed=7, n=200, classes=3)
+    c45 = c45_fit(ds, params=TreeParams(min_leaf=1, min_gain=0.0))
+    leaf = leaf_tree([0.25, 0.5, 0.25], ds.n_features)
+    return {"c45": c45, "c45_pruned": c45_fit(ds, params=TreeParams(min_leaf=8)),
+            "rf": rf_fit(ds, n_trees=4, seed=7), "forest_pa": forest_pa_fit(ds, n_trees=3, seed=7),
+            "leaf": leaf, "mixed": Forest([leaf, c45], "random_forest", [0, 1])}
+
+
 class TestVoteEnsemble:
     def test_members_must_agree_on_shape(self):
         ds_a = make_blobs(seed=0, n=60, d=4)
         ds_b = make_blobs(seed=0, n=60, d=5)
         with pytest.raises(InputError):
             VoteEnsemble(members=[c45_fit(ds_a), c45_fit(ds_b)])
+
+    @pytest.mark.parametrize("member", [
+        Forest(trees=[], kind="random_forest", bootstrap_seeds=[]),
+        np.zeros((2, 2)), "c45"], ids=["empty forest", "array", "string"])
+    def test_member_must_be_a_tree_or_a_forest(self, member):
+        with pytest.raises(InputError):
+            VoteEnsemble(members=[member])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_walk_matches_oracles_bit_for_bit(self, member_pool, data):
+        """One walk over every member's trees gives each member's oracle mean
+        (tree by tree, row by row), and the rule combines them as the per-row
+        oracle does. A small block cap makes a batch span many blocks."""
+        names = data.draw(st.lists(st.sampled_from(sorted(member_pool)), min_size=1, max_size=4))
+        models = [member_pool[name] for name in names]
+        thresholds = sorted({t for model in models for tree in members(model)
+                             for t in tree.threshold[tree.feature >= 0]} or {0.5})
+        cell = (st.sampled_from(thresholds) | st.sampled_from([math.nan, math.inf, -math.inf])
+                | st.floats(-0.5, 1.5))
+        d = models[0].n_features
+        probes = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                                             max_size=12)), dtype=np.float64).reshape(-1, d)
+        cap = data.draw(st.sampled_from([1, 5, 16, 40, trees.WALKERS_PER_BLOCK]))
+        expected = np.stack([oracle_mean(members(model), probes) for model in models])
+        with mock.patch.object(trees, "WALKERS_PER_BLOCK", cap):
+            for rule in ALL_RULES:
+                ens = VoteEnsemble(members=models, rule=rule)
+                assert ens.stack.predict(probes).tobytes() == expected.tobytes()
+                labels, dist = ensemble_predict_batch(ens, probes)
+                assert labels.shape == (len(probes),)
+                assert dist.shape == (len(probes), ens.n_classes)
+                for i, row in enumerate(probes):
+                    label, scores = oracle_combine(expected[:, i], rule)
+                    assert labels[i] == label
+                    assert dist[i].tobytes() == scores.tobytes()
+                    single = ensemble_predict(ens, row)
+                    assert single.label == label
+                    assert single.distribution.tobytes() == scores.tobytes()
+
+    def test_members_snapshot_at_construction(self):
+        tree = c45_fit(make_tied_dataset(seed=7, n=200, classes=3))
+        ens = VoteEnsemble(members=[tree])
+        probes = np.random.default_rng(1).uniform(-0.5, 1.5, (20, tree.n_features))
+        before = ensemble_predict_batch(ens, probes)[1]
+        tree.value[:] = 1.0 / tree.n_classes
+        assert ensemble_predict_batch(ens, probes)[1].tobytes() == before.tobytes()
 
     def test_training_rows_unanimous(self):
         ds = make_blobs(seed=1, n=100, d=5)

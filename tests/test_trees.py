@@ -9,13 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idsforge.errors import InputError
-from idsforge.trees import (DecisionTree, Forest, TreeParams, _best_split,
-                            _value_codes, c45_fit, entropy, forest_pa_fit,
+from idsforge.trees import (WALKERS_PER_BLOCK, DecisionTree, Forest, TreeParams,
+                            _best_split, _value_codes, c45_fit, entropy, forest_pa_fit,
                             forest_predict_batch, load_model, model_from_doc,
                             model_to_doc, rf_fit, save_model, tree_height,
                             tree_predict_batch, weight_increment, weight_range)
 
-from conftest import DATA_DIR, make_blobs, make_dataset, make_tied_dataset
+from conftest import (DATA_DIR, leaf_tree, make_blobs, make_dataset, make_tied_dataset,
+                      members, oracle_leaf, oracle_mean, traced_peak)
 
 
 def split_info(partition_sizes) -> float:
@@ -144,37 +145,6 @@ def golden_models():
         "rf": rf_fit(ds, n_trees=3, seed=11),
         "forest_pa": forest_pa_fit(ds, n_trees=3, seed=12),
     }
-
-
-def oracle_leaf(tree, row):
-    """Index of the leaf a row lands in, found by walking the arrays one node
-    at a time: the reference for tree_predict_batch."""
-    node = 0
-    while tree.feature[node] >= 0:
-        go_left = row[tree.feature[node]] <= tree.threshold[node]
-        node = tree.left[node] if go_left else tree.right[node]
-    return node
-
-
-def members(model):
-    return model.trees if isinstance(model, Forest) else [model]
-
-
-def oracle_mean(trees, rows):
-    """Mean of the trees' oracle leaf distributions, added in tree order."""
-    acc = np.zeros((len(rows), trees[0].n_classes))
-    for tree in trees:
-        acc += np.reshape([tree.value[oracle_leaf(tree, row)] for row in rows], acc.shape)
-    return acc / len(trees)
-
-
-def leaf_tree(distribution, n_features):
-    """A tree that is a single leaf."""
-    return DecisionTree(feature=np.array([-1]), threshold=np.zeros(1), left=np.array([-1]),
-                        right=np.array([-1]), depth=np.array([0]),
-                        value=np.array([distribution], dtype=np.float64),
-                        n_features=n_features, n_classes=len(distribution),
-                        params=TreeParams())
 
 
 class TestEntropy:
@@ -620,6 +590,20 @@ class TestStackedWalk:
         forest = Forest([], "random_forest", [])
         with pytest.raises(InputError, match="at least one tree"):
             forest_predict_batch(forest, np.zeros((rows, 2)))
+
+    def test_walker_state_held_for_one_block(self, fitted_models):
+        """A 100-tree forest over 20,000 rows has 2M (tree, row) walkers, at
+        24 B or more each; rows walk in blocks, so the walk holds one block's
+        worth of them (and the stacked trees) next to its output, and more
+        rows add only their output."""
+        tree = fitted_models["c45"]
+        forest = Forest([tree] * 100, "random_forest", list(range(100)))
+        rows = np.random.default_rng(0).uniform(-0.5, 1.5, (20_000, tree.n_features))
+        few, many = (traced_peak(lambda: forest_predict_batch(forest, rows[:n]))
+                     for n in (2_000, 20_000))
+        row_bytes = tree.n_classes * 8
+        assert many - 20_000 * row_bytes < 256 * WALKERS_PER_BLOCK
+        assert many - few < 18_000 * row_bytes + 8 * WALKERS_PER_BLOCK
 
     @pytest.mark.parametrize("name", ["c45", "rf", "forest_pa"])
     def test_document_with_zero_depths_predicts_like_oracle(self, fitted_models, name):
