@@ -259,6 +259,10 @@ def _classifier_specs(opts: Options) -> list[ClassifierSpec]:
     kinds = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not kinds:
         raise InputError("no classifiers configured")
+    for kind in kinds:
+        if kinds.count(kind) > 1:
+            raise InputError(f"classifier {kind!r} is listed more than once; "
+                             "report results are keyed by classifier")
     params = TreeParams(**opts.given(TREE_FLAGS))
     return [ClassifierSpec(kind=k, params=params, **opts.given(FOREST_FLAGS)) for k in kinds]
 
@@ -417,9 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="properties-style config file; flags win")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
 
     def selection(p):
+        # select and evaluate share these flags and are the only commands that
+        # draw random numbers, so --seed lives here
+        p.add_argument("--seed", type=int, help="random seed (default 0)")
         p.add_argument("--selector", choices=SELECTORS)
         p.add_argument("--top", type=int, help="feature count for ig / igr")
         p.add_argument("--features", help="comma list of feature indices")

@@ -583,16 +583,6 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldAssignment:
     return FoldAssignment(k=k, assignment=assignment, seed=seed)
 
 
-def decode_symbol(meta: FeatureMeta, code: float) -> str:
-    """Inverse of symbolic encoding for a single cell."""
-    if meta.symbol_codes is None:
-        raise InputError(f"feature {meta.name!r} is numeric, nothing to decode")
-    for token, value in meta.symbol_codes.items():
-        if value == int(code):
-            return token
-    raise InputError(f"code {code} unknown for feature {meta.name!r}")
-
-
 def _label_spellings(class_names, alone: bool) -> list[str]:
     """Each class name as csv.writer writes it as the last field of a row, or
     as a row's only field when alone: quoted when it holds a comma, a quote

@@ -14,7 +14,7 @@ from .ensemble import CombinationRule, combine_stack
 # so the name stays in this module's namespace.
 from .ensemble import ensemble_predict_batch  # noqa: F401
 from .errors import InputError
-from .trees import TreeParams, c45_fit, forest_pa_fit, rf_fit
+from .trees import TreeParams, TreeStack, c45_fit, forest_pa_fit, rf_fit
 
 CLASSIFIER_KINDS = ("c45", "rf", "forest_pa")
 
@@ -162,19 +162,17 @@ class ClassifierSpec:
             raise InputError("rho must be finite")
 
 
-def make_fitter(spec: ClassifierSpec, threads: int = 1):
-    """Turn a spec into a callable (dataset, rows, seed) -> trained model."""
-
-    def fit(ds, rows, seed):
-        if spec.kind == "c45":
-            return c45_fit(ds, rows, spec.params)
-        if spec.kind == "rf":
-            return rf_fit(ds, rows, n_trees=spec.n_trees, params=spec.params,
-                          seed=seed, threads=threads)
-        return forest_pa_fit(ds, rows, n_trees=spec.n_trees, params=spec.params,
-                             rho=spec.rho, seed=seed)
-
-    return fit
+def _fit(spec: ClassifierSpec, ds: Dataset, rows, seed: int, threads: int):
+    """The spec's model trained on the given rows. The learners are looked up
+    in this module's namespace and take rows second by position, which is
+    where perfbench/spans.py wraps them and reads the rows."""
+    if spec.kind == "c45":
+        return c45_fit(ds, rows, spec.params)
+    if spec.kind == "rf":
+        return rf_fit(ds, rows, n_trees=spec.n_trees, params=spec.params,
+                      seed=seed, threads=threads)
+    return forest_pa_fit(ds, rows, n_trees=spec.n_trees, params=spec.params,
+                         rho=spec.rho, seed=seed)
 
 
 def _derived_seed(seed: int, repeat: int, fold: int, member: int) -> int:
@@ -216,17 +214,17 @@ def cross_validate(ds: Dataset, members, k: int = 10, repeats: int = 1,
                    adr_mode: str = "exact_class") -> CrossValResult:
     """Repeated stratified k-fold evaluation of a voting ensemble and its members.
 
-    members is a list of ClassifierSpec or of callables (ds, rows, seed) ->
-    model; a single member evaluates one classifier on its own. Repeat r uses
-    fold seed (seed + r); each member's training seed mixes (seed, repeat,
-    fold, member index), so everything except the timing fields is
-    reproducible. Each member is fitted once per fold and predicts its test
-    rows once; the rule combines the whole stack of member distributions for
-    the ensemble and each member's own slice for that member's result. The
-    confusion matrix accumulates over folds and repeats, per-repeat metric
-    reports are averaged arithmetically, and mbt_seconds is the mean
-    wall-clock time of one build per fold: a member's own fit, or all fits
-    for the ensemble.
+    members is a list of ClassifierSpec; a single member evaluates one
+    classifier on its own. Repeat r uses fold seed (seed + r); each member's
+    training seed mixes (seed, repeat, fold, member index), so everything
+    except the timing fields is reproducible. Each member is fitted once per
+    fold, and the test rows walk once through all the fold's trees
+    (trees.TreeStack); the rule combines the whole (members, rows, classes)
+    stack for the ensemble and each member's own slice for that member's
+    result. The confusion matrix accumulates over folds and repeats,
+    per-repeat metric reports are averaged arithmetically, and mbt_seconds is
+    the mean wall-clock time of one build per fold: a member's own fit, or
+    all fits for the ensemble.
     """
     if k < 2:
         raise InputError("fold count must be at least 2")
@@ -234,6 +232,10 @@ def cross_validate(ds: Dataset, members, k: int = 10, repeats: int = 1,
         raise InputError("repeats must be at least 1")
     if not members:
         raise InputError("need at least one classifier")
+    for member in members:
+        if not isinstance(member, ClassifierSpec):
+            raise InputError(f"cannot cross-validate a {type(member).__name__}; "
+                             "members must be ClassifierSpec")
 
     class_counts = np.bincount(ds.labels, minlength=ds.n_classes)
     for cls, count in enumerate(class_counts):
@@ -246,10 +248,8 @@ def cross_validate(ds: Dataset, members, k: int = 10, repeats: int = 1,
     if feature_indices is not None:
         ds = select_features(ds, feature_indices)
 
-    fitters = [make_fitter(m, threads) if isinstance(m, ClassifierSpec) else m
-               for m in members]
     # The ensemble first, then each member on its own.
-    groups = [list(range(len(fitters)))] + [[i] for i in range(len(fitters))]
+    groups = [list(range(len(members)))] + [[i] for i in range(len(members))]
 
     c = ds.n_classes
     aggregate = np.zeros((len(groups), c, c), dtype=np.int64)
@@ -264,12 +264,11 @@ def cross_validate(ds: Dataset, members, k: int = 10, repeats: int = 1,
             test = folds.test_rows(f)
             models = []
             fit_seconds = []
-            for i, fit in enumerate(fitters):
+            for i, spec in enumerate(members):
                 t0 = time.perf_counter()
-                models.append(fit(ds, train, _derived_seed(seed, r, f, i)))
+                models.append(_fit(spec, ds, train, _derived_seed(seed, r, f, i), threads))
                 fit_seconds.append(time.perf_counter() - t0)
-            test_rows = ds.features[test]
-            stack = np.stack([m.predict_batch(test_rows) for m in models])
+            stack = TreeStack.of(models).predict(ds.features[test])
             for g, group in enumerate(groups):
                 labels, _ = combine_stack(stack[group], rule)
                 cm = confusion_from_predictions(ds.labels[test], labels, ds.class_names)

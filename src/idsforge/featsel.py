@@ -89,7 +89,7 @@ class BatSwarmConfig:
     max_iterations: int = 100
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_bats < 2:
             raise InputError("need at least 2 bats")
         if self.max_iterations < 1:
@@ -268,7 +268,6 @@ def cfs_ba_select(ds: Dataset, config: BatSwarmConfig | None = None,
     given the seed.
     """
     config = config or BatSwarmConfig()
-    config.validate()
     d = ds.n_features
     if d < 2:
         raise InputError("need at least 2 features to search")

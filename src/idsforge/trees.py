@@ -1,9 +1,10 @@
 """Gain-ratio decision trees and the two forests built on them.
 
-All splits are binary thresholds on the encoded features. The single-tree
-learner accepts per-attribute weights (multiplied into the split score) and a
-per-node feature sample, which is how the attribute-penalizing forest and the
-random forest reuse one growing engine.
+All splits are binary thresholds on the encoded features. One growing engine
+(_fit_tree) serves every learner: it accepts per-attribute weights
+(multiplied into the split score), which the attribute-penalizing forest
+passes, and a per-node feature sample, which the random forest passes;
+c45_fit grows with neither.
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ class Forest:
     attribute_weights: AttributeWeights | None = None
 
     def predict_batch(self, rows) -> np.ndarray:
-        return forest_predict_batch(self, rows)
+        """Arithmetic mean of the trees' leaf distributions for each row,
+        summed in tree order."""
+        return TreeStack.of([self]).predict(rows)[0]
 
     @property
     def n_features(self) -> int:
@@ -271,29 +274,20 @@ def _fit_tree(ds, codes, values, labels, params, weights, feature_sample, rng):
                         params=params)
 
 
-def c45_fit(ds: Dataset, rows=None, params: TreeParams | None = None,
-            weights: np.ndarray | None = None, feature_sample: int | None = None,
-            rng: np.random.Generator | None = None) -> DecisionTree:
+def c45_fit(ds: Dataset, rows=None, params: TreeParams | None = None) -> DecisionTree:
     """Grow a gain-ratio tree on the given rows.
 
-    Per node, the (feature, threshold) pair maximizing the gain ratio wins;
-    candidate thresholds are midpoints between consecutive distinct values.
-    Growth stops on purity, min_leaf, max_depth, or when the best weighted
-    score falls below min_gain (min_gain = 0 therefore keeps splitting through
-    zero-gain ties, which is what resolves XOR-like targets). Leaves hold
-    Laplace-smoothed class frequencies. When feature_sample is set, each node
-    scores a fresh uniform draw of that many features from rng.
+    Per node, the (feature, threshold) pair maximizing the gain ratio over
+    all features wins; candidate thresholds are midpoints between
+    consecutive distinct values. Growth stops on purity, min_leaf, max_depth,
+    or when the best gain ratio falls below min_gain (min_gain = 0 therefore
+    keeps splitting through zero-gain ties, which is what resolves XOR-like
+    targets). Leaves hold Laplace-smoothed class frequencies.
     """
     params = params or TreeParams()
-    if feature_sample is not None and rng is None:
-        raise InputError("feature sampling needs an explicit rng")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (ds.n_features,):
-            raise InputError("weights length must equal the feature count")
     rows = _checked_rows(ds, rows, "tree")
     codes, values = _value_codes(ds, rows)
-    return _fit_tree(ds, codes, values, ds.labels[rows], params, weights, feature_sample, rng)
+    return _fit_tree(ds, codes, values, ds.labels[rows], params, None, None, None)
 
 
 # Most (tree, row) walkers a prediction keeps at once. A batch walks in
@@ -567,12 +561,6 @@ def forest_pa_fit(ds: Dataset, rows=None, n_trees: int = 100,
 
     return Forest(trees=trees, kind="forest_pa", bootstrap_seeds=seeds,
                   oob_error=None, subspace_size=None, attribute_weights=state)
-
-
-def forest_predict_batch(forest: Forest, rows) -> np.ndarray:
-    """Arithmetic mean of the member trees' leaf distributions for each row,
-    summed in tree order."""
-    return TreeStack.of([forest]).predict(rows)[0]
 
 
 def _params_to_doc(params: TreeParams) -> dict:

@@ -336,6 +336,28 @@ class TestEvaluate:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["preprocess", "--input", "in.csv", "--label-column", "class"],
+        ["stats", "--input", "table.csv"],
+    ])
+    def test_seed_flag_only_on_select_and_evaluate(self, tmp_path, capsys, command):
+        # neither command draws random numbers, so a seed would be ignored
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--seed", "99", "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kinds, repeated", [("rf,rf", "rf"), ("c45,rf,c45", "c45")])
+    def test_repeated_classifier_exit_code(self, artifact_dir, tmp_path, capsys,
+                                           kinds, repeated):
+        # results and per_repeat are keyed by kind, so a second member of a
+        # kind would overwrite the first
+        out = tmp_path / "out"
+        assert main(["evaluate", "--input", artifact_dir, "--classifiers", kinds,
+                     "--k", "3", "--n-trees", "2", "--out", str(out)]) == 2
+        assert f"classifier {repeated!r} is listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, artifact_dir, tmp_path):
         config = tmp_path / "exp.conf"
         config.write_text("k = 3\nn-trees = 2\nclassifiers = c45\nseed = 5\n",

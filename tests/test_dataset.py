@@ -17,7 +17,7 @@ from idsforge import dataset
 from idsforge.cli import main
 from idsforge.dataset import (NONFINITE_TOKENS, _ZERO_FILLED, Dataset, FeatureMeta,
                               PreprocessReport, RawTable, _parse_numeric,
-                              _resolve_label_column, _resolve_normal_class, decode_symbol, encode,
+                              _resolve_label_column, _resolve_normal_class, encode,
                               encode_scaled, filter_table, load_csv, normalize,
                               read_dataset_artifact, select_features, stratified_folds,
                               write_dataset_artifact)
@@ -194,8 +194,9 @@ class TestEncode:
         raw = coded_table(["proto", "class"],
                           [tokens, ["a" if i % 2 else "b" for i in range(len(tokens))]], 1)
         ds = encode(raw)
-        decoded = [decode_symbol(ds.feature_meta[0], v) for v in ds.features[:, 0]]
-        assert decoded == tokens
+        token_of = {code: token for token, code in ds.feature_meta[0].symbol_codes.items()}
+        assert len(token_of) == len(set(tokens))
+        assert [token_of[code] for code in ds.features[:, 0]] == tokens
 
 
 def oracle_preprocess(path, label_column, has_header=True):

@@ -11,7 +11,6 @@ from idsforge.ensemble import (CombinationRule, VoteEnsemble, combine,
                                combine_stack, ensemble_predict,
                                ensemble_predict_batch)
 from idsforge.errors import InputError
-from idsforge.evaluation import ClassifierSpec, make_fitter
 from idsforge.trees import Forest, TreeParams, c45_fit, forest_pa_fit, rf_fit
 
 from conftest import leaf_tree, make_blobs, make_tied_dataset, members, oracle_mean
@@ -272,8 +271,8 @@ class TestVoteEnsemble:
 
     def test_training_rows_unanimous(self):
         ds = make_blobs(seed=1, n=100, d=5)
-        members = [make_fitter(ClassifierSpec(kind, n_trees=5))(ds, None, 3)
-                   for kind in ("c45", "rf", "forest_pa")]
+        members = [c45_fit(ds), rf_fit(ds, n_trees=5, seed=3),
+                   forest_pa_fit(ds, n_trees=5, seed=3)]
         ens = VoteEnsemble(members=members)
         labels, _ = ensemble_predict_batch(ens, ds.features)
         assert (labels == ds.labels).mean() > 0.97
@@ -290,7 +289,7 @@ class TestVoteEnsemble:
     def test_batch_agrees_with_single_row(self):
         ds = make_blobs(seed=3, n=80, d=4)
         members = [c45_fit(ds), c45_fit(ds, params=TreeParams(min_leaf=5)),
-                   make_fitter(ClassifierSpec("rf", n_trees=3))(ds, None, 4)]
+                   rf_fit(ds, n_trees=3, seed=4)]
         for rule in ALL_RULES:
             ens = VoteEnsemble(members=members, rule=rule)
             labels, dist = ensemble_predict_batch(ens, ds.features[:10])

@@ -5,28 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idsforge import evaluation
 from idsforge.ensemble import CombinationRule
 from idsforge.errors import InputError
 from idsforge.evaluation import (ClassifierSpec, ConfusionMatrix,
                                  compute_metrics, confusion_from_predictions,
                                  cross_validate)
-from idsforge.trees import TreeParams
+from idsforge.trees import TreeParams, c45_fit
 
 from conftest import make_blobs, make_dataset, make_leak_dataset
 
-
-class MajorityModel:
-    """Test double: always predicts a fixed class."""
-
-    def __init__(self, n_features, n_classes, winner=0):
-        self.n_features = n_features
-        self.n_classes = n_classes
-        self.winner = winner
-
-    def predict_batch(self, rows):
-        dist = np.full((len(rows), self.n_classes), 0.1 / (self.n_classes - 1))
-        dist[:, self.winner] = 0.9
-        return dist
+# A c45 whose root never splits: it predicts its training fold's class
+# frequencies, Laplace-smoothed, for every row.
+STUMP = ClassifierSpec("c45", params=TreeParams(min_gain=1e9))
 
 
 class TestComputeMetrics:
@@ -101,12 +92,17 @@ class TestCrossValidate:
     def test_majority_classifier_on_balanced_data(self):
         ds = make_dataset(np.random.default_rng(0).random((100, 3)),
                           [0, 1] * 50)
-
-        def fit(dataset, rows, seed):
-            return MajorityModel(dataset.n_features, dataset.n_classes, winner=0)
-
-        result = cross_validate(ds, [fit], k=5, repeats=1, seed=0)
+        result = cross_validate(ds, [STUMP], k=5, repeats=1, seed=0)
         assert result.report.accuracy == pytest.approx(0.5, abs=0.02)
+
+    @pytest.mark.parametrize("member", [
+        lambda dataset, rows, seed: c45_fit(dataset, rows),
+        c45_fit(make_blobs(seed=1, n=60, d=3)),
+    ], ids=["callable", "fitted model"])
+    def test_members_must_be_specs(self, member):
+        ds = make_blobs(seed=1, n=60, d=3)
+        with pytest.raises(InputError, match="ClassifierSpec"):
+            cross_validate(ds, [ClassifierSpec("c45"), member], k=3)
 
     def test_perfect_classifier_via_leak(self):
         ds = make_leak_dataset(seed=1, n=150, d=4, classes=3)
@@ -184,14 +180,17 @@ class TestCrossValidate:
             assert result.report.mbt_seconds == pytest.approx(
                 sum(m.report.mbt_seconds for m in result.members))
 
-    def test_each_member_fitted_once_per_fold(self):
+    def test_each_member_fitted_once_per_fold(self, monkeypatch):
         ds = make_dataset(np.random.default_rng(0).random((60, 3)), [0, 1] * 30)
         calls = []
 
-        def fit(dataset, rows, seed):
-            calls.append(seed)
-            return MajorityModel(dataset.n_features, dataset.n_classes, winner=1)
+        # the lookup the benchmark's spans wrap: evaluation's own c45_fit, with
+        # the training rows as the second positional argument
+        def counting_fit(*args, **kwargs):
+            calls.append(len(args[1]))
+            return c45_fit(*args, **kwargs)
 
-        result = cross_validate(ds, [fit, fit], k=3, repeats=2, seed=0)
-        assert len(calls) == 2 * 3 * 2
+        monkeypatch.setattr(evaluation, "c45_fit", counting_fit)
+        result = cross_validate(ds, [STUMP, STUMP], k=3, repeats=2, seed=0)
+        assert calls == [40] * (2 * 3 * 2)
         assert [m.report.accuracy for m in result.members] == [0.5, 0.5]

@@ -327,6 +327,21 @@ class TestCfsBaSelect:
         with pytest.raises(InputError):
             cfs_ba_select(ds)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_bats": 1}, "at least 2 bats"),
+        ({"max_iterations": 0}, "at least 1 iteration"),
+        ({"f_max": math.nan}, "must be finite"),
+        ({"f_min": -math.inf}, "must be finite"),
+        ({"gamma": math.inf}, "must be finite"),
+        ({"f_min": 3.0}, "f_min must not exceed f_max"),
+        ({"alpha": 1.0}, "alpha must lie in"),
+        ({"alpha": math.nan}, "alpha must lie in"),
+        ({"gamma": 0.0}, "gamma must be positive"),
+    ])
+    def test_invalid_config_rejected_at_construction(self, fields, message):
+        with pytest.raises(InputError, match=message):
+            BatSwarmConfig(**fields)
+
 
 GOLDEN_DATASETS = {
     **{f"search{s}": (lambda s=s: make_search_dataset(s)) for s in range(2, 6)},

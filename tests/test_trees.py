@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from idsforge.errors import InputError
 from idsforge.trees import (WALKERS_PER_BLOCK, DecisionTree, Forest, TreeParams,
-                            _best_split, _value_codes, c45_fit, entropy, forest_pa_fit,
-                            forest_predict_batch, load_model, model_from_doc,
+                            _best_split, _fit_tree, _value_codes, c45_fit, entropy,
+                            forest_pa_fit, load_model, model_from_doc,
                             model_to_doc, rf_fit, save_model, tree_height,
                             tree_predict_batch, weight_increment, weight_range)
 
@@ -400,11 +400,14 @@ class TestRandomForest:
     def test_single_tree_equals_manual_bootstrap(self):
         ds = make_blobs(seed=1, n=80, d=6)
         forest = rf_fit(ds, n_trees=1, seed=42)
-        # replay the documented per-tree rng protocol through the public api
+        # replay the documented per-tree rng protocol: the bootstrap positions
+        # first, then the per-node feature samples from the same rng
         tree_seed = int(np.random.SeedSequence([42, 0]).generate_state(1)[0])
         rng = np.random.default_rng(tree_seed)
         positions = rng.integers(0, ds.n_rows, ds.n_rows)
-        manual = c45_fit(ds, positions, feature_sample=math.ceil(math.sqrt(6)), rng=rng)
+        codes, values = _value_codes(ds, np.arange(ds.n_rows))
+        manual = _fit_tree(ds, codes[positions], values, ds.labels[positions], TreeParams(),
+                           None, math.ceil(math.sqrt(6)), rng)
         probes = np.random.default_rng(0).random((200, 6))
         assert np.array_equal(tree_predict_batch(forest.trees[0], probes),
                               tree_predict_batch(manual, probes))
@@ -526,19 +529,19 @@ class TestForestPredict:
         ds = make_blobs(seed=8, n=120, d=4, spread=0.4)
         probes = np.random.default_rng(4).uniform(-1, 2, (40, 4))
         for forest in (rf_fit(ds, n_trees=5, seed=3), forest_pa_fit(ds, n_trees=5, seed=3)):
-            batch = forest_predict_batch(forest, probes)
+            batch = forest.predict_batch(probes)
             for row, dist in zip(probes, batch):
                 acc = np.zeros(forest.n_classes)
                 for tree in forest.trees:
                     acc += tree.value[oracle_leaf(tree, row)]
                 expected = acc / len(forest.trees)
                 assert dist.tobytes() == expected.tobytes()
-                assert forest_predict_batch(forest, row[None])[0].tobytes() == expected.tobytes()
+                assert forest.predict_batch(row[None])[0].tobytes() == expected.tobytes()
 
     def test_mean_of_two_votes(self):
         forest = Forest([leaf_tree([1.0, 0.0], 2), leaf_tree([0.0, 1.0], 2)],
                         "random_forest", [0, 1])
-        assert forest_predict_batch(forest, [[0.0, 0.0]])[0] == pytest.approx([0.5, 0.5])
+        assert forest.predict_batch([[0.0, 0.0]])[0] == pytest.approx([0.5, 0.5])
 
     def test_distributions_sum_to_one(self):
         ds = make_blobs(seed=7, n=120, d=6)
@@ -570,8 +573,7 @@ class TestStackedWalk:
         d = model.n_features
         probes = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d),
                                              max_size=12)), dtype=np.float64).reshape(-1, d)
-        predict = forest_predict_batch if isinstance(model, Forest) else tree_predict_batch
-        assert predict(model, probes).tobytes() == oracle_mean(trees, probes).tobytes()
+        assert model.predict_batch(probes).tobytes() == oracle_mean(trees, probes).tobytes()
 
     @pytest.mark.parametrize("name", ["c45", "rf", "forest_pa"])
     def test_zero_row_batch(self, fitted_models, name):
@@ -583,13 +585,13 @@ class TestStackedWalk:
                         "random_forest", [0, 1])
         for width in (2, 3):
             with pytest.raises(InputError):
-                forest_predict_batch(forest, np.zeros((4, width)))
+                forest.predict_batch(np.zeros((4, width)))
 
     @pytest.mark.parametrize("rows", [0, 3])
     def test_empty_forest_rejected(self, rows):
         forest = Forest([], "random_forest", [])
         with pytest.raises(InputError, match="at least one tree"):
-            forest_predict_batch(forest, np.zeros((rows, 2)))
+            forest.predict_batch(np.zeros((rows, 2)))
 
     def test_walker_state_held_for_one_block(self, fitted_models):
         """A 100-tree forest over 20,000 rows has 2M (tree, row) walkers, at
@@ -599,7 +601,7 @@ class TestStackedWalk:
         tree = fitted_models["c45"]
         forest = Forest([tree] * 100, "random_forest", list(range(100)))
         rows = np.random.default_rng(0).uniform(-0.5, 1.5, (20_000, tree.n_features))
-        few, many = (traced_peak(lambda: forest_predict_batch(forest, rows[:n]))
+        few, many = (traced_peak(lambda: forest.predict_batch(rows[:n]))
                      for n in (2_000, 20_000))
         row_bytes = tree.n_classes * 8
         assert many - 20_000 * row_bytes < 256 * WALKERS_PER_BLOCK
