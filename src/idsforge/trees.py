@@ -294,6 +294,8 @@ def c45_fit(ds: Dataset, rows=None, params: TreeParams | None = None) -> Decisio
 # blocks of rows, so its walker state stays near this many entries however
 # many rows and trees there are.
 WALKERS_PER_BLOCK = 2**14
+# Levels a walk steps between two looks for walkers that reached a leaf.
+LEVELS_PER_CHECK = 3
 
 
 def _member_trees(model) -> list:
@@ -312,20 +314,23 @@ def _member_trees(model) -> list:
 class TreeStack:
     """The trees of one or more models stacked end to end for one walk.
 
-    feature, threshold and value are the trees' node arrays concatenated.
-    children[2 * node] is a split's right child and children[2 * node + 1]
-    its left one, shifted by its tree's offset; a leaf is both children of
-    itself. roots holds each tree's root and owner each tree's model index;
-    counts holds each model's tree count. The arrays are copies, so later
-    changes to the models do not reach them.
+    A walker's state is 2 * node, node counted over the concatenated trees.
+    side_feature and side_threshold hold each node's split twice, at 2 * node
+    and 2 * node + 1 (feature -1 at leaves). side_child[2 * node] is the state
+    of a split's right child and side_child[2 * node + 1] that of its left
+    one, so a step goes to side_child[state + go_left]; both entries of a leaf
+    are its own state. value holds the trees' leaf distributions by node,
+    roots each tree's root node and counts each model's tree count; model m's
+    trees are ranges[m]. The arrays are copies, so later changes to the
+    models do not reach them.
     """
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    children: np.ndarray
+    side_feature: np.ndarray
+    side_threshold: np.ndarray
+    side_child: np.ndarray
     value: np.ndarray
     roots: np.ndarray
-    owner: list[int]
+    ranges: list[slice]
     counts: np.ndarray
     n_features: int
     n_classes: int
@@ -344,13 +349,15 @@ class TreeStack:
                                    for tree, root in zip(trees, roots)])
         leaf = np.flatnonzero(feature < 0)
         children[leaf] = leaf[:, None]
-        return cls(feature=feature,
-                   threshold=np.concatenate([tree.threshold for tree in trees]),
-                   children=children.ravel(),
+        counts = [len(group) for group in groups]
+        edges = np.cumsum([0] + counts).tolist()
+        return cls(side_feature=np.repeat(feature, 2),
+                   side_threshold=np.repeat(np.concatenate([tree.threshold for tree in trees]), 2),
+                   side_child=2 * children.ravel(),
                    value=np.concatenate([tree.value for tree in trees]),
                    roots=roots,
-                   owner=[m for m, group in enumerate(groups) for _ in group],
-                   counts=np.array([len(group) for group in groups]),
+                   ranges=[slice(lo, hi) for lo, hi in zip(edges, edges[1:])],
+                   counts=np.array(counts),
                    n_features=d, n_classes=c)
 
     def predict(self, rows) -> np.ndarray:
@@ -358,42 +365,50 @@ class TreeStack:
 
         Every (tree, row) pair is a walker that starts at its tree's root.
         Each step moves a walker at a split one level down, left when its
-        row's cell is <= the split's threshold and right otherwise (NaN too),
-        until every walker is at a leaf. A model's distribution is the sum of
-        its trees' leaf distributions, added in tree order to zeros, over its
-        tree count. Rows walk in blocks of at most WALKERS_PER_BLOCK walkers
-        (at least one row per block).
+        row's cell is <= the split's threshold and right otherwise (NaN too).
+        Every LEVELS_PER_CHECK steps the walk looks for walkers at leaves,
+        drops them once they are at least half of those left, and ends when
+        all are. A model's distribution is the sum of its trees' leaf
+        distributions, added in tree order to zeros, over its tree count.
+        Rows walk in blocks of at most WALKERS_PER_BLOCK walkers (at least
+        one row per block).
         """
         flat = np.ascontiguousarray(rows, dtype=np.float64)
         if flat.ndim != 2 or flat.shape[1] != self.n_features:
             raise InputError("batch shape does not match the model's feature count")
         n, d = flat.shape
         t = self.roots.size
+        feature, threshold, child = self.side_feature, self.side_threshold, self.side_child
         out = np.empty((self.counts.size, n, self.n_classes))
         block = max(1, WALKERS_PER_BLOCK // t)
         for start in range(0, n, block):
             b = min(block, n - start)
             cells = flat[start:start + b].ravel()
-            node = np.repeat(self.roots, b)
-            moving = np.flatnonzero(self.feature[node] >= 0)
-            at, row = node[moving], moving % b * d  # row: each walker's row start in cells
-            feature = self.feature[at]
+            state = np.repeat(2 * self.roots, b)
+            moving = np.flatnonzero(feature[state] >= 0)
+            at, row = state[moving], moving % b * d  # row: each walker's row start in cells
             while moving.size:
                 # A walker at a leaf reads cell row - 1 (feature -1; cells is
                 # not empty while a walker is at a split) and stays where it
-                # is, its own child. Such walkers are dropped once they are at
-                # least half of those left.
-                go_left = cells[row + feature] <= self.threshold[at]
-                at = self.children[2 * at + go_left]
-                feature = self.feature[at]
-                live = feature >= 0
+                # is, its own child.
+                for _ in range(LEVELS_PER_CHECK):
+                    go_left = cells[row + feature[at]] <= threshold[at]
+                    at = child[at + go_left]
+                live = feature[at] >= 0
                 if 2 * np.count_nonzero(live) <= at.size:
-                    node[moving] = at
-                    moving, at, row, feature = moving[live], at[live], row[live], feature[live]
-            acc = np.zeros((self.counts.size, b, self.n_classes))
-            for m, leaves in zip(self.owner, node.reshape(t, b)):
-                acc[m] += self.value[leaves]
-            np.divide(acc, self.counts[:, None, None], out=out[:, start:start + b])
+                    state[moving] = at
+                    moving, at, row = moving[live], at[live], row[live]
+            leaves = self.value[state.reshape(t, b) >> 1]
+            sums = out[:, start:start + b]
+            for m, span in enumerate(self.ranges):
+                # Over axis 0 numpy adds tree after tree onto the initial
+                # zeros, except into a lone output cell, which it adds
+                # pairwise; a one-class leaf is near 1, never -0.0.
+                if b * self.n_classes > 1:
+                    np.add.reduce(leaves[span], axis=0, out=sums[m], initial=0.0)
+                else:
+                    sums[m] = np.add.accumulate(leaves[span], axis=0)[-1]
+            np.divide(sums, self.counts[:, None, None], out=sums)
         return out
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from idsforge.dataset import (Dataset, FeatureMeta, RawTable, encode, filter_table, load_csv,
                               normalize)
-from idsforge.trees import DecisionTree, Forest, TreeParams
+from idsforge.trees import DecisionTree, Forest, TreeParams, rf_fit
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -142,6 +142,34 @@ def leaf_tree(distribution, n_features):
                         value=np.array([distribution], dtype=np.float64),
                         n_features=n_features, n_classes=len(distribution),
                         params=TreeParams())
+
+
+def chain_tree(depth):
+    """A one-feature tree whose split nodes each peel one leaf off to the
+    left, so it is `depth` edges deep: in preorder, the split at depth d is
+    node 2d, with threshold d + 0.5, and its left leaf node 2d + 1."""
+    index = np.arange(2 * depth + 1)
+    split = (index % 2 == 0) & (index < 2 * depth)
+    value = np.zeros((index.size, 2))
+    value[1::2] = np.where(index[1::2, None] // 2 % 2 == 1, [0.75, 0.25], [0.5, 0.5])
+    value[-1] = [0.25, 0.75]
+    return DecisionTree(feature=np.where(split, 0, -1),
+                        threshold=np.where(split, index // 2 + 0.5, 0.0),
+                        left=np.where(split, index + 1, -1), right=np.where(split, index + 2, -1),
+                        depth=(index + 1) // 2, value=value, n_features=1, n_classes=2,
+                        params=TreeParams())
+
+
+@pytest.fixture(scope="session")
+def mixed_heights():
+    """chain_tree(1500) and a forest of depth-2 trees over the same one
+    feature, whose thresholds spread over the chain's: in one walk the
+    forest's walkers reach their leaves hundreds of levels before the
+    chain's."""
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0, 1500, (300, 1))
+    ds = make_dataset(x, (x[:, 0] // 250 % 2).astype(np.int64))
+    return [chain_tree(1500), rf_fit(ds, n_trees=4, seed=11, params=TreeParams(max_depth=2))]
 
 
 @pytest.fixture

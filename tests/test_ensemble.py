@@ -204,15 +204,19 @@ class TestCombineStack:
 
 
 @pytest.fixture(scope="module")
-def member_pool():
-    """Trees and forests over one 3-class, 6-feature table: fitted ones, a
-    single-leaf tree and a forest that mixes a leaf with a fitted tree."""
+def member_pools(mixed_heights):
+    """Members that can share an ensemble, by pool. "tied": trees and forests
+    over one 3-class, 6-feature table: fitted ones, a single-leaf tree and a
+    forest that mixes a leaf with a fitted tree. "heights": a 1500-level chain
+    and a forest of depth-2 trees over one feature."""
     ds = make_tied_dataset(seed=7, n=200, classes=3)
     c45 = c45_fit(ds, params=TreeParams(min_leaf=1, min_gain=0.0))
     leaf = leaf_tree([0.25, 0.5, 0.25], ds.n_features)
-    return {"c45": c45, "c45_pruned": c45_fit(ds, params=TreeParams(min_leaf=8)),
-            "rf": rf_fit(ds, n_trees=4, seed=7), "forest_pa": forest_pa_fit(ds, n_trees=3, seed=7),
-            "leaf": leaf, "mixed": Forest([leaf, c45], "random_forest", [0, 1])}
+    return {"tied": {"c45": c45, "c45_pruned": c45_fit(ds, params=TreeParams(min_leaf=8)),
+                     "rf": rf_fit(ds, n_trees=4, seed=7),
+                     "forest_pa": forest_pa_fit(ds, n_trees=3, seed=7),
+                     "leaf": leaf, "mixed": Forest([leaf, c45], "random_forest", [0, 1])},
+            "heights": dict(zip(["chain", "shallow"], mixed_heights))}
 
 
 class TestVoteEnsemble:
@@ -231,12 +235,13 @@ class TestVoteEnsemble:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_walk_matches_oracles_bit_for_bit(self, member_pool, data):
+    def test_walk_matches_oracles_bit_for_bit(self, member_pools, data):
         """One walk over every member's trees gives each member's oracle mean
         (tree by tree, row by row), and the rule combines them as the per-row
         oracle does. A small block cap makes a batch span many blocks."""
-        names = data.draw(st.lists(st.sampled_from(sorted(member_pool)), min_size=1, max_size=4))
-        models = [member_pool[name] for name in names]
+        pool = member_pools[data.draw(st.sampled_from(sorted(member_pools)))]
+        names = data.draw(st.lists(st.sampled_from(sorted(pool)), min_size=1, max_size=4))
+        models = [pool[name] for name in names]
         thresholds = sorted({t for model in models for tree in members(model)
                              for t in tree.threshold[tree.feature >= 0]} or {0.5})
         cell = (st.sampled_from(thresholds) | st.sampled_from([math.nan, math.inf, -math.inf])

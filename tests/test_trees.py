@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from idsforge.ensemble import VoteEnsemble, ensemble_predict_batch
 from idsforge.errors import InputError
 from idsforge.trees import (WALKERS_PER_BLOCK, DecisionTree, Forest, TreeParams,
                             _best_split, _fit_tree, _value_codes, c45_fit, entropy,
@@ -15,8 +16,8 @@ from idsforge.trees import (WALKERS_PER_BLOCK, DecisionTree, Forest, TreeParams,
                             model_to_doc, rf_fit, save_model, tree_height,
                             tree_predict_batch, weight_increment, weight_range)
 
-from conftest import (DATA_DIR, leaf_tree, make_blobs, make_dataset, make_tied_dataset,
-                      members, oracle_leaf, oracle_mean, traced_peak)
+from conftest import (DATA_DIR, chain_tree, leaf_tree, make_blobs, make_dataset,
+                      make_tied_dataset, members, oracle_leaf, oracle_mean, traced_peak)
 
 
 def split_info(partition_sizes) -> float:
@@ -564,16 +565,51 @@ class TestStackedWalk:
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
-    def test_matches_oracle_mean_bit_for_bit(self, fitted_models, data):
-        model = fitted_models[data.draw(st.sampled_from(sorted(fitted_models)))]
-        trees = members(model)
-        thresholds = sorted({t for tree in trees for t in tree.threshold[tree.feature >= 0]})
+    def test_matches_oracle_mean_bit_for_bit(self, fitted_models, mixed_heights, data):
+        """Each fitted model alone, and a 1500-level chain stacked with a
+        depth-2 forest in one VoteEnsemble, whole batches and row by row."""
+        name = data.draw(st.sampled_from(sorted(fitted_models) + ["mixed heights"]))
+        models = [fitted_models[name]] if name in fitted_models else mixed_heights
+        thresholds = sorted({t for model in models for tree in members(model)
+                             for t in tree.threshold[tree.feature >= 0]})
         cell = (st.sampled_from(thresholds) | st.sampled_from([math.nan, math.inf, -math.inf])
                 | st.floats(-0.5, 1.5))
-        d = model.n_features
+        d = models[0].n_features
         probes = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d),
                                              max_size=12)), dtype=np.float64).reshape(-1, d)
-        assert model.predict_batch(probes).tobytes() == oracle_mean(trees, probes).tobytes()
+        expected = np.stack([oracle_mean(members(model), probes) for model in models])
+        for model, want in zip(models, expected):
+            assert model.predict_batch(probes).tobytes() == want.tobytes()
+        stack = VoteEnsemble(members=models).stack
+        assert stack.predict(probes).tobytes() == expected.tobytes()
+        for i in range(len(probes)):
+            assert stack.predict(probes[i:i + 1]).tobytes() == expected[:, i:i + 1].tobytes()
+
+    def test_negative_zero_leaf_predicts_positive_zero(self, tmp_path):
+        """Leaf distributions are added to zeros, so a loaded leaf that holds
+        -0.0 predicts +0.0 through a tree, a one-tree forest and an ensemble."""
+        doc = model_to_doc(chain_tree(1))
+        first_leaf(doc)["distribution"] = [-0.0, 1.0]
+        path = tmp_path / "c45.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        tree = load_model(str(path))
+        assert np.signbit(tree.value[1, 0])
+        probes = np.array([[0.0], [1.0]])
+        expected = np.array([[0.0, 1.0], [0.25, 0.75]]).tobytes()
+        ens = VoteEnsemble(members=[tree])
+        for got in (tree_predict_batch(tree, probes),
+                    Forest([tree], "random_forest", [0]).predict_batch(probes),
+                    ens.stack.predict(probes)[0], ensemble_predict_batch(ens, probes)[1]):
+            assert got.tobytes() == expected
+
+    def test_one_class_single_row_adds_in_tree_order(self):
+        """One class and one row leave each model a single sum cell, which
+        numpy's reduction would add pairwise; the walk adds in tree order."""
+        leaves = np.random.default_rng(0).uniform(1 - 1e-9, 1 + 1e-9, 40)
+        forest = Forest([leaf_tree([p], 1) for p in leaves], "random_forest", list(range(40)))
+        for rows in (np.zeros((1, 1)), np.zeros((3, 1))):
+            assert forest.predict_batch(rows).tobytes() == \
+                oracle_mean(forest.trees, rows).tobytes()
 
     @pytest.mark.parametrize("name", ["c45", "rf", "forest_pa"])
     def test_zero_row_batch(self, fitted_models, name):
@@ -689,22 +725,6 @@ def saved_docs():
     return {"c45": model_to_doc(c45_fit(ds)),
             "random_forest": model_to_doc(rf_fit(ds, n_trees=2, seed=1)),
             "forest_pa": model_to_doc(forest_pa_fit(ds, n_trees=2, seed=1))}
-
-
-def chain_tree(depth):
-    """A one-feature tree whose split nodes each peel one leaf off to the
-    left, so it is `depth` edges deep: in preorder, the split at depth d is
-    node 2d, with threshold d + 0.5, and its left leaf node 2d + 1."""
-    index = np.arange(2 * depth + 1)
-    split = (index % 2 == 0) & (index < 2 * depth)
-    value = np.zeros((index.size, 2))
-    value[1::2] = np.where(index[1::2, None] // 2 % 2 == 1, [0.75, 0.25], [0.5, 0.5])
-    value[-1] = [0.25, 0.75]
-    return DecisionTree(feature=np.where(split, 0, -1),
-                        threshold=np.where(split, index // 2 + 0.5, 0.0),
-                        left=np.where(split, index + 1, -1), right=np.where(split, index + 2, -1),
-                        depth=(index + 1) // 2, value=value, n_features=1, n_classes=2,
-                        params=TreeParams())
 
 
 class TestSerialization:
