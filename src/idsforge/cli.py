@@ -114,6 +114,20 @@ def _thread_count(opts: Options) -> int:
     return threads
 
 
+def _out_dir(opts: Options, default: str) -> str:
+    """The --out directory, checked before the command's main work: the
+    nearest part of the path that exists must be a directory. The directory
+    itself is made only when the command writes, so a command that fails
+    leaves none behind."""
+    out = opts.get("out", default)
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise InputError(f"output directory {out}: {existing} exists and is not a directory")
+    return out
+
+
 def _write_json(path, payload) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -129,7 +143,7 @@ def cmd_preprocess(opts: Options) -> int:
     path = opts.require("input")
     label = opts.require("label-column")
     has_header = not opts.get("no-header", False, bool)
-    out_dir = opts.get("out", "preprocessed")
+    out_dir = _out_dir(opts, "preprocessed")
 
     filtered, report = filter_table(load_csv(path, label, has_header=has_header))
     label_name = filtered.column_names[filtered.label_column]
@@ -240,8 +254,8 @@ def _selection(ds, opts: Options, fallback: str | None) -> dict | None:
 
 def cmd_select(opts: Options) -> int:
     ds = read_dataset_artifact(opts.require("input"))
+    out_dir = _out_dir(opts, "selection")
     payload = _selection(ds, opts, fallback="cfs-ba")
-    out_dir = opts.get("out", "selection")
     _write_json(os.path.join(out_dir, "subset.json"), payload)
     with open(os.path.join(out_dir, "subset.txt"), "w", encoding="utf-8") as fh:
         fh.write(",".join(str(i) for i in payload["selected"]))
@@ -284,7 +298,7 @@ def cmd_evaluate(opts: Options) -> int:
     seed = opts.get("seed", 0, int)
     threads = _thread_count(opts)
     adr_mode = opts.get("adr-mode", "exact_class")
-    out_dir = opts.get("out", "evaluation")
+    out_dir = _out_dir(opts, "evaluation")
 
     specs = _classifier_specs(opts)
     selection = _selection(ds, opts, fallback=None)
@@ -351,7 +365,7 @@ def cmd_stats(opts: Options) -> int:
     path = opts.require("input")
     values, algorithms, datasets = load_metric_table(path)
     alphas = _parse_alphas(opts)
-    out_dir = opts.get("out", "stats")
+    out_dir = _out_dir(opts, "stats")
 
     if opts.get("mean-ranks", False, bool):
         if values.shape[0] != 1:

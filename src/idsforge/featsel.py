@@ -261,11 +261,11 @@ def cfs_ba_select(ds: Dataset, config: BatSwarmConfig | None = None,
     stay away from saturation. With probability (1 - pulse rate) the candidate
     is instead a random walk around that anchor, scaled by the swarm's mean
     loudness. Candidates are binarized stochastically and scored with
-    cfs_merit; a bat archives a candidate when the merit does not drop and a
-    uniform draw stays under its loudness, which then decays while the pulse
-    rate grows. The global best updates on strict improvement (ties prefer
-    fewer features, then the lexicographically smaller mask). Deterministic
-    given the seed.
+    cfs_merit, once per distinct subset; a bat archives a candidate when the
+    merit does not drop and a uniform draw stays under its loudness, which
+    then decays while the pulse rate grows. The global best updates on strict
+    improvement (ties prefer fewer features, then the lexicographically
+    smaller mask). Deterministic given the seed.
     """
     config = config or BatSwarmConfig()
     d = ds.n_features
@@ -284,11 +284,20 @@ def cfs_ba_select(ds: Dataset, config: BatSwarmConfig | None = None,
     pulse_rates = np.zeros(n)
     fitness = np.empty(n)
 
+    merits: dict[bytes, float] = {}
+
+    def merit_of(subset: FeatureSubset) -> float:
+        # the swarm revisits subsets often; cfs_merit scores each one once
+        key = subset.mask.tobytes()
+        if key not in merits:
+            merits[key] = cfs_merit(subset, cache)
+        return merits[key]
+
     best_merit = -math.inf
     best_subset = None
     for i in range(n):
         subset = binarize(positions[i], rng.random(d), guard)
-        fitness[i] = merit = cfs_merit(subset, cache)
+        fitness[i] = merit = merit_of(subset)
         if best_subset is None or _improves(merit, subset, best_merit, best_subset):
             best_merit, best_subset = merit, subset
 
@@ -304,7 +313,7 @@ def cfs_ba_select(ds: Dataset, config: BatSwarmConfig | None = None,
             if pulse_rates[i] < rng.random():
                 candidate = local_walk(best_position, rng.uniform(-1.0, 1.0, d), mean_loudness)
             subset = binarize(candidate, rng.random(d), guard)
-            merit = cfs_merit(subset, cache)
+            merit = merit_of(subset)
             if merit >= fitness[i] and rng.random() < loudness[i]:
                 fitness[i] = merit
                 loudness[i] *= config.alpha

@@ -129,10 +129,12 @@ class Forest:
         return self.trees[0].n_classes
 
 
-def _entropy_of_count_rows(counts, totals):
-    # H = log2(N) - sum(c log2 c) / N over the last axis; 0 log 0 = 0 log 1 = 0.
-    term = counts * np.log2(np.maximum(counts, 1.0))
-    return np.log2(totals) - term.sum(axis=-1) / totals
+def _log_tables(n: int):
+    """k log2 k (0 at k = 0) and log2 k for k = 0..n: every entropy term of a
+    count out of a fit's n rows, read by index instead of recomputed."""
+    k = np.arange(n + 1, dtype=np.float64)
+    with np.errstate(divide="ignore"):  # log2 0 = -inf; no entropy reads it
+        return k * np.log2(np.maximum(k, 1.0)), np.log2(k)
 
 
 def _value_codes(ds, rows):
@@ -155,68 +157,86 @@ def _value_codes(ds, rows):
     return codes, np.concatenate([np.empty(0), *values])
 
 
-def _best_split(codes, y, feature_ids, weights, min_leaf, values, n_classes):
+def _best_split(codes, y, feature_ids, weights, min_leaf, values, counts, logs):
     """Best (feature, threshold, weighted gain ratio) at a node.
 
     codes and y are the node's rows (see _value_codes); feature_ids lists the
-    candidate features in ascending order. Every distinct value present at
-    the node except a feature's largest is scored once, with the threshold
-    at the midpoint to the next present value. Returns None when no
-    candidate satisfies min_leaf on both sides. Ties pick the lowest feature
-    index, then the lowest threshold.
+    candidate features in ascending order, counts the node's class counts and
+    logs the fit's _log_tables. Every distinct value present at the node
+    except a feature's largest is scored once, with the threshold at the
+    midpoint to the next present value. Returns None when no candidate
+    satisfies min_leaf on both sides. Ties pick the lowest feature index,
+    then the lowest threshold.
+
+    Class counts stay integers, so they are exact in any order of
+    operations. An entropy log2(N) - sum(k log2 k) / N reads its terms from
+    the tables and sums each count row with one numpy reduction, which adds
+    a row's terms in the same order however many rows it reduces.
     """
     n = codes.shape[0]
-    c = n_classes
+    c = counts.size
     if len(feature_ids) == 0:
         return None
 
     # Sort the node's (slot, class) keys: each run of equal keys counts the
     # rows of one pair, and the pairs come in (feature, value, class) order.
-    keys = np.take(codes, feature_ids, axis=1)
+    keys = codes.take(feature_ids, axis=1)
     keys *= c
     keys += y[:, None]
     keys = keys.ravel()
     keys.sort()
-    run_end = np.append(np.flatnonzero(keys[1:] != keys[:-1]), keys.size - 1)
+    last = np.empty(keys.size, dtype=bool)  # last of its run, then of its slot
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    last[-1] = True
+    run_end = last.nonzero()[0]
+    runs = run_end.size
     slots, classes = np.divmod(keys[run_end], c)
-    slot_end = np.append(slots[1:] != slots[:-1], True)
-    present = slots[slot_end]
-    slot_of_pair = np.cumsum(slot_end) - slot_end
-    table = np.bincount(slot_of_pair * c + classes, weights=np.diff(run_end, prepend=-1),
-                        minlength=present.size * c).reshape(-1, c)
+    np.not_equal(slots[1:], slots[:-1], out=last[:runs - 1])
+    last[runs - 1] = True
+    slot_end = last[:runs].nonzero()[0]
 
-    # Every candidate feature's slots partition the same n rows, so running
-    # totals over all slots, less `rank` whole nodes, count the rows left of
-    # each value within its own feature; a feature's last value leaves none.
-    through = run_end[slot_end] + 1
-    rank = (through - 1) // n
-    left_n = through - rank * n
-    valid = np.flatnonzero((left_n >= min_leaf) & (n - left_n >= min_leaf))
+    # Every candidate feature's slots partition the same n rows, so a slot's
+    # last key sits at rank * n + rem: rank is its feature's place among the
+    # candidates and rem + 1 of the node's rows lie at or left of its value.
+    # A feature's last value leaves none on the right.
+    rank, rem = np.divmod(run_end[slot_end], n)
+    valid = ((rem >= min_leaf - 1) & (rem < n - min_leaf)).nonzero()[0]
     if valid.size == 0:
         return None
-    parent_counts = np.bincount(y, minlength=c).astype(np.float64)
-    left = np.cumsum(table, axis=0)[valid] - rank[valid, None] * parent_counts
-    left_n = left_n[valid].astype(np.float64)
-    right_n = n - left_n
-    # one entropy pass over the parent, then every left side, then every right side
-    h = _entropy_of_count_rows(np.vstack([parent_counts, left, parent_counts - left]),
-                               np.concatenate([[float(n)], left_n, right_n]))
-    h_left, h_right = h[1:valid.size + 1], h[valid.size + 1:]
-    pl = left_n / n
-    pr = right_n / n
-    info = -(pl * np.log2(pl) + pr * np.log2(pr))
-    gain = float(h[0]) - pl * h_left - pr * h_right
+    # running class counts through each run, less `rank` nodes' counts
+    table = np.zeros((runs, c), dtype=np.int64)
+    classes += np.arange(0, runs * c, c)
+    lengths = np.empty(runs, dtype=np.int64)
+    lengths[0] = run_end[0] + 1
+    np.subtract(run_end[1:], run_end[:-1], out=lengths[1:])
+    table.ravel()[classes] = lengths
+    table.cumsum(axis=0, out=table)
+    rank = rank[valid]
+    sides = np.empty((2, valid.size, c), dtype=np.int64)  # left, right
+    np.subtract(table[slot_end[valid]], rank[:, None] * counts, out=sides[0])
+    np.subtract(counts, sides[0], out=sides[1])
+    sizes = np.empty((2, valid.size), dtype=np.int64)
+    np.add(rem[valid], 1, out=sizes[0])
+    np.subtract(n, sizes[0], out=sizes[1])
+
+    klogk, log2 = logs
+    h_parent = log2[n] - klogk.take(counts).sum() / n
+    h = log2[sizes] - klogk.take(sides).sum(axis=2) / sizes
+    p = sizes / n
+    t = p * np.log2(p)
+    info = -(t[0] + t[1])
+    ph = p * h
+    gain = h_parent - ph[0] - ph[1]
     ratio = np.where(gain > 0, gain / info, 0.0)
-    features = feature_ids[rank[valid]]
     if weights is not None:
-        ratio = ratio * weights[features]
-    best = int(np.argmax(ratio))
-    slot = valid[best]
-    threshold = float((values[present[slot]] + values[present[slot + 1]]) / 2.0)
-    return int(features[best]), threshold, float(ratio[best])
+        ratio *= weights[feature_ids][rank]
+    best = int(ratio.argmax())
+    at = int(run_end[slot_end[valid[best]]])  # the slot's last key; the next slot follows
+    threshold = float((values[keys[at] // c] + values[keys[at + 1] // c]) / 2.0)
+    return int(feature_ids[rank[best]]), threshold, float(ratio[best])
 
 
-def _grow(codes, y, values, n_classes, params, weights, feature_sample, rng):
+def _grow(codes, y, values, n_classes, params, weights, feature_sample, rng, logs):
     """Iterative preorder construction (node, left subtree, right subtree), so
     per-node rng draws happen in the same order a recursive build would make
     and arbitrarily deep trees stay off the Python stack. Returns the arrays
@@ -241,7 +261,7 @@ def _grow(codes, y, values, n_classes, params, weights, feature_sample, rng):
             else:
                 candidates = np.arange(d)
             best = _best_split(codes_node, y_node, candidates, weights, params.min_leaf,
-                               values, c)
+                               values, counts, logs)
             if best is not None and best[2] >= params.min_gain:
                 split = best
 
@@ -266,10 +286,11 @@ def _checked_rows(ds, rows, what):
     return rows
 
 
-def _fit_tree(ds, codes, values, labels, params, weights, feature_sample, rng):
-    """Grow one tree on the rows whose value codes and labels are given."""
+def _fit_tree(ds, codes, values, labels, params, weights, feature_sample, rng, logs):
+    """Grow one tree on the rows whose value codes and labels are given;
+    logs is _log_tables of at least their count."""
     arrays = _grow(codes, labels.astype(codes.dtype), values, ds.n_classes, params, weights,
-                   feature_sample, rng)
+                   feature_sample, rng, logs)
     return DecisionTree(*arrays, n_features=ds.n_features, n_classes=ds.n_classes,
                         params=params)
 
@@ -287,7 +308,8 @@ def c45_fit(ds: Dataset, rows=None, params: TreeParams | None = None) -> Decisio
     params = params or TreeParams()
     rows = _checked_rows(ds, rows, "tree")
     codes, values = _value_codes(ds, rows)
-    return _fit_tree(ds, codes, values, ds.labels[rows], params, None, None, None)
+    return _fit_tree(ds, codes, values, ds.labels[rows], params, None, None, None,
+                     _log_tables(rows.size))
 
 
 # Most (tree, row) walkers a prediction keeps at once. A batch walks in
@@ -422,7 +444,7 @@ def tree_height(tree: DecisionTree) -> int:
     return int(tree.depth.max())
 
 
-def _bootstrap_tree(ds, codes, values, labels, params, weights, feature_sample, seed, t):
+def _bootstrap_tree(ds, codes, values, labels, params, weights, feature_sample, seed, t, logs):
     """Tree t of a forest over the rows whose value codes and labels are given.
 
     The tree's rng is default_rng(SeedSequence([seed, t])). It draws the
@@ -434,7 +456,7 @@ def _bootstrap_tree(ds, codes, values, labels, params, weights, feature_sample, 
     rng = np.random.default_rng(tree_seed)
     positions = rng.integers(0, labels.size, labels.size)
     tree = _fit_tree(ds, codes[positions], values, labels[positions], params, weights,
-                     feature_sample, rng)
+                     feature_sample, rng, logs)
     return tree_seed, rng, positions, tree
 
 
@@ -460,10 +482,11 @@ def rf_fit(ds: Dataset, rows=None, n_trees: int = 100,
     subspace = math.ceil(math.sqrt(ds.n_features))
     codes, values = _value_codes(ds, rows)
     labels = ds.labels[rows]
+    logs = _log_tables(n)  # read-only, so the build threads share it
 
     def build(t: int):
         tree_seed, _, positions, tree = _bootstrap_tree(ds, codes, values, labels, params,
-                                                        None, subspace, seed, t)
+                                                        None, subspace, seed, t, logs)
         return tree_seed, tree, np.bincount(positions, minlength=n) > 0
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -544,6 +567,7 @@ def forest_pa_fit(ds: Dataset, rows=None, n_trees: int = 100,
     d = ds.n_features
     codes, values = _value_codes(ds, rows)
     labels = ds.labels[rows]
+    logs = _log_tables(rows.size)
     state = AttributeWeights.fresh(d)
     level_cap = _max_valid_level(rho)
 
@@ -552,7 +576,7 @@ def forest_pa_fit(ds: Dataset, rows=None, n_trees: int = 100,
     trees = []
     for t in range(n_trees):
         tree_seed, rng, _, tree = _bootstrap_tree(ds, codes, values, labels, params,
-                                                  state.weights, None, seed, t)
+                                                  state.weights, None, seed, t, logs)
         seeds.append(tree_seed)
         trees.append(tree)
 

@@ -92,6 +92,28 @@ def make_tied_dataset(seed, n=300, classes=4):
     return make_dataset(feats, labels)
 
 
+def make_many_class_dataset(seed, n=200, classes=15):
+    """Tree-growing table with CIC-IDS2017's class count: each class's share
+    0.6 times the one before, every class present, three grid columns (4, 8
+    and 16 levels) tracking the label through noise, two random grid columns
+    and one column of three-decimal uniform draws."""
+    rng = np.random.default_rng(seed)
+    share = 0.6 ** np.arange(classes)
+    labels = np.concatenate([np.arange(classes),
+                             rng.choice(classes, n - classes, p=share / share.sum())])
+    rng.shuffle(labels)
+    levels = (4, 8, 16, 3, 7)
+    feats = np.empty((n, len(levels) + 1))
+    for j, k in enumerate(levels):
+        if j < 3:
+            raw = labels * (k - 1) / (classes - 1) + rng.normal(0, 0.6, n)
+            feats[:, j] = np.clip(np.rint(raw), 0, k - 1) / (k - 1)
+        else:
+            feats[:, j] = rng.integers(0, k, n) / (k - 1)
+    feats[:, -1] = np.round(rng.random(n), 3)
+    return make_dataset(feats, labels)
+
+
 def make_leak_dataset(seed, n=120, d=5, classes=3):
     """Feature 0 is the label itself; everything else is noise."""
     rng = np.random.default_rng(seed)

@@ -587,6 +587,26 @@ class TestStats:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("command", ["preprocess", "select", "evaluate", "stats"])
+    def test_out_not_a_directory_exit_code(self, artifact_dir, tmp_path, capsys, command,
+                                           under):
+        """An --out path that is a file, or lies under one, exits 2 and
+        leaves the file as it was."""
+        ranks = tmp_path / "ranks.csv"
+        ranks.write_text(MEAN_RANKS_CSV, encoding="utf-8")
+        inputs = {"preprocess": ["--input", write_toy_csv(tmp_path), "--label-column", "class"],
+                  "select": ["--input", artifact_dir, "--selector", "none"],
+                  "evaluate": ["--input", artifact_dir, "--classifiers", "c45", "--k", "2",
+                               "--threads", "1"],
+                  "stats": ["--input", str(ranks), "--mean-ranks", "--n-datasets", "3"]}
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        out = taken / "out" if under else taken
+        assert main([command, *inputs[command], "--out", str(out)]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "idsforge", "--version"],

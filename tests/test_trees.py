@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from idsforge.ensemble import VoteEnsemble, ensemble_predict_batch
 from idsforge.errors import InputError
 from idsforge.trees import (WALKERS_PER_BLOCK, DecisionTree, Forest, TreeParams,
-                            _best_split, _fit_tree, _value_codes, c45_fit, entropy,
+                            _best_split, _fit_tree, _log_tables, _value_codes, c45_fit, entropy,
                             forest_pa_fit, load_model, model_from_doc,
                             model_to_doc, rf_fit, save_model, tree_height,
                             tree_predict_batch, weight_increment, weight_range)
 
 from conftest import (DATA_DIR, chain_tree, leaf_tree, make_blobs, make_dataset,
-                      make_tied_dataset, members, oracle_leaf, oracle_mean, traced_peak)
+                      make_many_class_dataset, make_tied_dataset, members, oracle_leaf,
+                      oracle_mean, traced_peak)
 
 
 def split_info(partition_sizes) -> float:
@@ -118,8 +119,9 @@ def split_nodes(draw):
     """A tie-heavy table, a bootstrap node drawn from it (duplicated rows),
     sorted candidate features, attribute weights and min_leaf."""
     d = draw(st.integers(min_value=1, max_value=6))
-    c = draw(st.integers(min_value=2, max_value=6))
-    n = draw(st.integers(min_value=c, max_value=40))
+    # from 8 classes up numpy sums each entropy row pairwise, not in sequence
+    c = draw(st.integers(min_value=2, max_value=16))
+    n = draw(st.integers(min_value=c, max_value=300))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     levels = draw(st.lists(st.sampled_from([1, 2, 3, 5, 1000]), min_size=d, max_size=d))
     feats = np.column_stack([rng.integers(0, k, n) / k for k in levels])
@@ -146,6 +148,35 @@ def golden_models():
         "rf": rf_fit(ds, n_trees=3, seed=11),
         "forest_pa": forest_pa_fit(ds, n_trees=3, seed=12),
     }
+
+
+def many_class_models():
+    """The models pinned by tests/data/tree_golden_15class.json: c45, a 3-tree
+    rf and a 2-tree forest_pa on one 15-class table, where every entropy row
+    sum has 15 terms, which numpy adds pairwise."""
+    ds = make_many_class_dataset(seed=3)
+    return {
+        "c45": c45_fit(ds),
+        "rf": rf_fit(ds, n_trees=3, seed=13),
+        "forest_pa": forest_pa_fit(ds, n_trees=2, seed=14),
+    }
+
+
+def recorded_models(name):
+    with open(os.path.join(DATA_DIR, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def assert_document_matches(doc, want, name):
+    """Node by node first, so a mismatch names its tree and node, then whole."""
+    trees_got = doc["trees"] if "trees" in doc else [doc]
+    trees_want = want["trees"] if "trees" in want else [want]
+    assert len(trees_got) == len(trees_want)
+    for t, (got, exp) in enumerate(zip(trees_got, trees_want)):
+        for i, (node, expected) in enumerate(zip(got["nodes"], exp["nodes"])):
+            assert node == expected, f"{name} tree {t} node {i}"
+        assert len(got["nodes"]) == len(exp["nodes"]), f"{name} tree {t}"
+    assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class TestEntropy:
@@ -312,7 +343,8 @@ class TestSplitSearch:
         codes, values = _value_codes(ds, np.arange(ds.n_rows))
         y = ds.labels[positions]
         got = _best_split(codes[positions], y.astype(codes.dtype), candidates, weights,
-                          min_leaf, values, ds.n_classes)
+                          min_leaf, values, np.bincount(y, minlength=ds.n_classes),
+                          _log_tables(positions.size))
         onehot = np.eye(ds.n_classes)[y]
         want = oracle_best_split(ds.features[positions], onehot, candidates, weights, min_leaf)
         assert repr(got) == repr(want)
@@ -324,25 +356,33 @@ class TestGoldenModels:
 
     @pytest.fixture(scope="class")
     def recorded(self):
-        with open(os.path.join(DATA_DIR, "tree_golden.json"), encoding="utf-8") as fh:
-            return json.load(fh)
+        return recorded_models("tree_golden.json")
 
     @pytest.mark.parametrize("name", ["c45", "c45_full", "rf", "forest_pa"])
     def test_document_matches_recording(self, recorded, name):
-        doc = model_to_doc(golden_models()[name])
-        want = recorded[name]
-        trees_got = doc["trees"] if "trees" in doc else [doc]
-        trees_want = want["trees"] if "trees" in want else [want]
-        assert len(trees_got) == len(trees_want)
-        for t, (got, exp) in enumerate(zip(trees_got, trees_want)):
-            for i, (node, expected) in enumerate(zip(got["nodes"], exp["nodes"])):
-                assert node == expected, f"{name} tree {t} node {i}"
-            assert len(got["nodes"]) == len(exp["nodes"]), f"{name} tree {t}"
-        assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert_document_matches(model_to_doc(golden_models()[name]), recorded[name], name)
 
     @pytest.mark.parametrize("name", ["c45", "c45_full", "rf", "forest_pa"])
     def test_recorded_document_loads_unchanged(self, recorded, name):
         assert model_to_doc(model_from_doc(recorded[name])) == recorded[name]
+
+
+class TestManyClassGoldenModels:
+    """Model documents recorded on a 15-class table before the split search
+    scored candidates on integer counts and log tables; the search must
+    reproduce them byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return recorded_models("tree_golden_15class.json")
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        return many_class_models()
+
+    @pytest.mark.parametrize("name", ["c45", "rf", "forest_pa"])
+    def test_document_matches_recording(self, recorded, fitted, name):
+        assert_document_matches(model_to_doc(fitted[name]), recorded[name], name)
 
 
 class TestTreePredict:
@@ -408,7 +448,7 @@ class TestRandomForest:
         positions = rng.integers(0, ds.n_rows, ds.n_rows)
         codes, values = _value_codes(ds, np.arange(ds.n_rows))
         manual = _fit_tree(ds, codes[positions], values, ds.labels[positions], TreeParams(),
-                           None, math.ceil(math.sqrt(6)), rng)
+                           None, math.ceil(math.sqrt(6)), rng, _log_tables(ds.n_rows))
         probes = np.random.default_rng(0).random((200, 6))
         assert np.array_equal(tree_predict_batch(forest.trees[0], probes),
                               tree_predict_batch(manual, probes))
