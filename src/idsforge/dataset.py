@@ -9,7 +9,7 @@ import json
 import os
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -147,14 +147,7 @@ class PreprocessReport:
     rows_out: int
 
     def to_dict(self) -> dict:
-        return {
-            "dropped_constant_features": list(self.dropped_constant_features),
-            "dropped_duplicate_features": list(self.dropped_duplicate_features),
-            "missing_replaced": self.missing_replaced,
-            "nonfinite_replaced": self.nonfinite_replaced,
-            "rows_in": self.rows_in,
-            "rows_out": self.rows_out,
-        }
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
 
 
 def _frozen(array, dtype) -> np.ndarray:
@@ -642,16 +635,7 @@ def write_dataset_artifact(ds: Dataset, out_dir, report: PreprocessReport | None
         "label_name": label_name,
         "class_names": ds.class_names,
         "normal_class": ds.normal_class,
-        "feature_meta": [
-            {
-                "name": m.name,
-                "original_kind": m.original_kind,
-                "observed_min": m.observed_min,
-                "observed_max": m.observed_max,
-                "symbol_codes": m.symbol_codes,
-            }
-            for m in ds.feature_meta
-        ],
+        "feature_meta": [asdict(m) for m in ds.feature_meta],
         "preprocess_report": report.to_dict() if report is not None else None,
     }
     with open(meta_path, "w", encoding="utf-8") as fh:

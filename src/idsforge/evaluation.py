@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .errors import InputError
 from .trees import TreeParams, TreeStack, c45_fit, forest_pa_fit, rf_fit
 
 CLASSIFIER_KINDS = ("c45", "rf", "forest_pa")
+_ADR_MODES = ("exact_class", "binary")
 
 
 @dataclass(frozen=True)
@@ -70,23 +71,14 @@ class MetricsReport:
     zero_predicted: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision_w": self.precision_w,
-            "dr_w": self.dr_w,
-            "f_measure_w": self.f_measure_w,
-            "adr": self.adr,
-            "far": self.far,
-            "mbt_seconds": self.mbt_seconds,
-            "zero_predicted": list(self.zero_predicted),
-        }
+        return {**asdict(self), "zero_predicted": list(self.zero_predicted)}
 
 
 def compute_metrics(cm: ConfusionMatrix, normal_class: int,
                     mbt_seconds: float = 0.0,
                     adr_mode: str = "exact_class") -> MetricsReport:
     """Derive the metric suite from one confusion matrix."""
-    if adr_mode not in ("exact_class", "binary"):
+    if adr_mode not in _ADR_MODES:
         raise InputError(f"unknown adr mode {adr_mode!r}")
     counts = cm.counts.astype(np.float64)
     c = counts.shape[0]
@@ -99,49 +91,27 @@ def compute_metrics(cm: ConfusionMatrix, normal_class: int,
     row_sums = counts.sum(axis=1)
     col_sums = counts.sum(axis=0)
     diag = np.diag(counts)
-    accuracy = float(diag.sum() / total)
-
-    zero_predicted = []
-    precision = np.zeros(c)
-    recall = np.zeros(c)
-    f1 = np.zeros(c)
-    for j in range(c):
-        if col_sums[j] > 0:
-            precision[j] = diag[j] / col_sums[j]
-        elif row_sums[j] > 0:
-            zero_predicted.append(cm.class_names[j])
-        if row_sums[j] > 0:
-            recall[j] = diag[j] / row_sums[j]
-        if precision[j] + recall[j] > 0:
-            f1[j] = 2 * precision[j] * recall[j] / (precision[j] + recall[j])
+    # A rate with a zero denominator is 0.
+    precision = np.divide(diag, col_sums, out=np.zeros(c), where=col_sums > 0)
+    recall = np.divide(diag, row_sums, out=np.zeros(c), where=row_sums > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(c), where=both > 0)
     support = row_sums / total
-    precision_w = float((support * precision).sum())
-    dr_w = float((support * recall).sum())
-    f_measure_w = float((support * f1).sum())
 
-    attack = np.array([j != normal_class for j in range(c)])
+    attack = np.arange(c) != normal_class
     attack_total = row_sums[attack].sum()
-    if attack_total > 0:
-        if adr_mode == "exact_class":
-            adr = float(diag[attack].sum() / attack_total)
-        else:
-            into_normal = counts[attack, normal_class].sum()
-            adr = float((attack_total - into_normal) / attack_total)
-    else:
-        adr = 0.0
+    hits = (diag[attack].sum() if adr_mode == "exact_class"
+            else attack_total - counts[attack, normal_class].sum())
+    adr = float(hits / attack_total) if attack_total > 0 else 0.0
     normal_total = row_sums[normal_class]
     far = float((normal_total - diag[normal_class]) / normal_total) if normal_total > 0 else 0.0
 
+    unpredicted = np.flatnonzero((col_sums == 0) & (row_sums > 0))
     return MetricsReport(
-        accuracy=accuracy,
-        precision_w=precision_w,
-        dr_w=dr_w,
-        f_measure_w=f_measure_w,
-        adr=adr,
-        far=far,
-        mbt_seconds=mbt_seconds,
-        zero_predicted=tuple(zero_predicted),
-    )
+        accuracy=float(diag.sum() / total), precision_w=float((support * precision).sum()),
+        dr_w=float((support * recall).sum()), f_measure_w=float((support * f1).sum()),
+        adr=adr, far=far, mbt_seconds=mbt_seconds,
+        zero_predicted=tuple(cm.class_names[j] for j in unpredicted))
 
 
 @dataclass(frozen=True)
@@ -179,20 +149,6 @@ def _derived_seed(seed: int, repeat: int, fold: int, member: int) -> int:
     return int(np.random.SeedSequence([seed, repeat, fold, member]).generate_state(1)[0])
 
 
-def _mean_report(reports, mbt: float) -> MetricsReport:
-    zero = sorted({name for r in reports for name in r.zero_predicted})
-    return MetricsReport(
-        accuracy=float(np.mean([r.accuracy for r in reports])),
-        precision_w=float(np.mean([r.precision_w for r in reports])),
-        dr_w=float(np.mean([r.dr_w for r in reports])),
-        f_measure_w=float(np.mean([r.f_measure_w for r in reports])),
-        adr=float(np.mean([r.adr for r in reports])),
-        far=float(np.mean([r.far for r in reports])),
-        mbt_seconds=mbt,
-        zero_predicted=tuple(zero),
-    )
-
-
 @dataclass
 class CrossValResult:
     """Metrics of one cross-validated classifier.
@@ -208,6 +164,25 @@ class CrossValResult:
     members: list["CrossValResult"] = field(default_factory=list)
 
 
+def _fold(ds: Dataset, members, groups, train, test, seeds, rule: CombinationRule,
+          threads: int):
+    """One fold: fit member i on the train rows with seeds[i], walk the test
+    rows once through every member's trees, and combine each group's slice
+    of that (members, rows, classes) stack by the rule. groups is a boolean
+    (groups, members) matrix. Returns the groups' confusion counts
+    (groups, classes, classes) and each member's fit time in seconds."""
+    models, seconds = [], []
+    for spec, member_seed in zip(members, seeds):
+        t0 = time.perf_counter()
+        models.append(_fit(spec, ds, train, member_seed, threads))
+        seconds.append(time.perf_counter() - t0)
+    stack = TreeStack.of(models).predict(ds.features[test])
+    counts = [confusion_from_predictions(ds.labels[test], combine_stack(stack[group], rule)[0],
+                                         ds.class_names).counts
+              for group in groups]
+    return np.stack(counts), np.array(seconds)
+
+
 def cross_validate(ds: Dataset, members, k: int = 10, repeats: int = 1,
                    seed: int = 0, rule: CombinationRule = CombinationRule.AVERAGE_OF_PROBABILITIES,
                    feature_indices=None, threads: int = 1,
@@ -217,19 +192,24 @@ def cross_validate(ds: Dataset, members, k: int = 10, repeats: int = 1,
     members is a list of ClassifierSpec; a single member evaluates one
     classifier on its own. Repeat r uses fold seed (seed + r); each member's
     training seed mixes (seed, repeat, fold, member index), so everything
-    except the timing fields is reproducible. Each member is fitted once per
-    fold, and the test rows walk once through all the fold's trees
-    (trees.TreeStack); the rule combines the whole (members, rows, classes)
-    stack for the ensemble and each member's own slice for that member's
-    result. The confusion matrix accumulates over folds and repeats,
-    per-repeat metric reports are averaged arithmetically, and mbt_seconds is
-    the mean wall-clock time of one build per fold: a member's own fit, or
-    all fits for the ensemble.
+    except the timing fields is reproducible. Each fold is one _fold call:
+    every member is fitted once, and the rule combines the whole stack for
+    the ensemble and each member's own slice for that member's result. The
+    confusion matrix sums the folds of every repeat, the report is the
+    arithmetic mean of the per-repeat reports, and mbt_seconds is the mean
+    wall-clock time of one build per fold: a member's own fit, or all fits
+    for the ensemble. Every argument is checked before the first fit.
     """
     if k < 2:
         raise InputError("fold count must be at least 2")
     if repeats < 1:
         raise InputError("repeats must be at least 1")
+    if threads < 1:
+        raise InputError(f"thread count must be at least 1, got {threads}")
+    if not isinstance(rule, CombinationRule):
+        raise InputError(f"rule must be a CombinationRule, got {rule!r}")
+    if adr_mode not in _ADR_MODES:
+        raise InputError(f"unknown adr mode {adr_mode!r}")
     if not members:
         raise InputError("need at least one classifier")
     for member in members:
@@ -248,47 +228,30 @@ def cross_validate(ds: Dataset, members, k: int = 10, repeats: int = 1,
     if feature_indices is not None:
         ds = select_features(ds, feature_indices)
 
-    # The ensemble first, then each member on its own.
-    groups = [list(range(len(members)))] + [[i] for i in range(len(members))]
-
-    c = ds.n_classes
-    aggregate = np.zeros((len(groups), c, c), dtype=np.int64)
-    per_repeat: list[list[MetricsReport]] = [[] for _ in groups]
-    build_times: list[list[float]] = [[] for _ in groups]
+    # Group 0 is the ensemble, group 1 + i member i on its own.
+    m, c = len(members), ds.n_classes
+    groups = np.vstack([np.ones(m, dtype=bool), np.eye(m, dtype=bool)])
+    counts = np.zeros((repeats, len(groups), c, c), dtype=np.int64)
+    fit_seconds = np.zeros((repeats, k, m))
     for r in range(repeats):
         folds = stratified_folds(ds, k, seed + r)
-        repeat_counts = np.zeros_like(aggregate)
-        repeat_times: list[list[float]] = [[] for _ in groups]
         for f in range(k):
-            train = folds.train_rows(f)
-            test = folds.test_rows(f)
-            models = []
-            fit_seconds = []
-            for i, spec in enumerate(members):
-                t0 = time.perf_counter()
-                models.append(_fit(spec, ds, train, _derived_seed(seed, r, f, i), threads))
-                fit_seconds.append(time.perf_counter() - t0)
-            stack = TreeStack.of(models).predict(ds.features[test])
-            for g, group in enumerate(groups):
-                labels, _ = combine_stack(stack[group], rule)
-                cm = confusion_from_predictions(ds.labels[test], labels, ds.class_names)
-                repeat_counts[g] += cm.counts
-                repeat_times[g].append(sum(fit_seconds[i] for i in group))
-        for g in range(len(groups)):
-            repeat_cm = ConfusionMatrix(repeat_counts[g], ds.class_names)
-            per_repeat[g].append(compute_metrics(repeat_cm, ds.normal_class,
-                                                 mbt_seconds=float(np.mean(repeat_times[g])),
-                                                 adr_mode=adr_mode))
-            build_times[g].extend(repeat_times[g])
-        aggregate += repeat_counts
+            seeds = [_derived_seed(seed, r, f, i) for i in range(m)]
+            fold_counts, fit_seconds[r, f] = _fold(ds, members, groups, folds.train_rows(f),
+                                                   folds.test_rows(f), seeds, rule, threads)
+            counts[r] += fold_counts
+    build_seconds = fit_seconds @ groups.T  # (repeats, k, groups)
 
-    results = [
-        CrossValResult(
-            report=_mean_report(per_repeat[g], mbt=float(np.mean(build_times[g]))),
-            confusion=ConfusionMatrix(aggregate[g], ds.class_names),
-            per_repeat=per_repeat[g],
-        )
-        for g in range(len(groups))
-    ]
-    results[0].members = results[1:]
-    return results[0]
+    def result(g: int, group_members=()) -> CrossValResult:
+        per_repeat = [compute_metrics(ConfusionMatrix(counts[r, g], ds.class_names),
+                                      ds.normal_class, adr_mode=adr_mode,
+                                      mbt_seconds=float(build_seconds[r, :, g].mean()))
+                      for r in range(repeats)]
+        means = {f.name: float(np.mean([getattr(p, f.name) for p in per_repeat]))
+                 for f in fields(MetricsReport) if f.name != "zero_predicted"}
+        zero = sorted({name for p in per_repeat for name in p.zero_predicted})
+        return CrossValResult(report=MetricsReport(**means, zero_predicted=tuple(zero)),
+                              confusion=ConfusionMatrix(counts[:, g].sum(axis=0), ds.class_names),
+                              per_repeat=per_repeat, members=list(group_members))
+
+    return result(0, [result(g) for g in range(1, m + 1)])

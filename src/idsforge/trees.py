@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -602,11 +602,6 @@ def forest_pa_fit(ds: Dataset, rows=None, n_trees: int = 100,
                   oob_error=None, subspace_size=None, attribute_weights=state)
 
 
-def _params_to_doc(params: TreeParams) -> dict:
-    return {"min_leaf": params.min_leaf, "max_depth": params.max_depth,
-            "min_gain": params.min_gain}
-
-
 def _tree_to_doc(tree: DecisionTree) -> dict:
     """The arrays as the document's preorder node list."""
     columns = (tree.depth, tree.feature, tree.threshold, tree.left, tree.right, tree.value)
@@ -614,7 +609,7 @@ def _tree_to_doc(tree: DecisionTree) -> dict:
              {"depth": d, "feature": f, "threshold": t, "left": l, "right": r}
              for d, f, t, l, r, v in zip(*(a.tolist() for a in columns))]
     return {"n_features": tree.n_features, "n_classes": tree.n_classes,
-            "params": _params_to_doc(tree.params), "nodes": nodes}
+            "params": asdict(tree.params), "nodes": nodes}
 
 
 def _field_array(values, kinds, key) -> np.ndarray:
@@ -667,20 +662,14 @@ def model_to_doc(model) -> dict:
         return {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": "c45",
                 **_tree_to_doc(model)}
     if isinstance(model, Forest):
-        doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": model.kind,
-               "trees": [_tree_to_doc(t) for t in model.trees],
-               "bootstrap_seeds": list(model.bootstrap_seeds),
-               "oob_error": model.oob_error,
-               "subspace_size": model.subspace_size,
-               "attribute_weights": None}
-        if model.attribute_weights is not None:
-            aw = model.attribute_weights
-            doc["attribute_weights"] = {
-                "weights": [float(w) for w in aw.weights],
-                "last_level": [int(v) for v in aw.last_level],
-                "increments": [float(v) for v in aw.increments],
-            }
-        return doc
+        aw = model.attribute_weights
+        return {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": model.kind,
+                "trees": [_tree_to_doc(t) for t in model.trees],
+                "bootstrap_seeds": list(model.bootstrap_seeds),
+                "oob_error": model.oob_error,
+                "subspace_size": model.subspace_size,
+                "attribute_weights": None if aw is None else
+                {name: array.tolist() for name, array in vars(aw).items()}}
     raise InputError(f"cannot serialize {type(model).__name__}")
 
 

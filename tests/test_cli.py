@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from idsforge import evaluation
 from idsforge.cli import _read_subset_file, main
 from idsforge.dataset import (normalize, read_dataset_artifact,
                               write_dataset_artifact)
@@ -323,6 +324,31 @@ class TestEvaluate:
         assert main(argv) == 2
         assert "thread count must be at least 1" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+    def test_unknown_adr_mode_in_config_exits_before_any_fit(self, artifact_dir, tmp_path,
+                                                            capsys, monkeypatch):
+        # argparse's choices check the flag only; the config value reaches
+        # cross_validate, which must reject it before the first fit
+        calls = []
+        monkeypatch.setattr(evaluation, "c45_fit", lambda *a, **kw: calls.append(a))
+        config = tmp_path / "adr.conf"
+        config.write_text("adr-mode = binaryy\n", encoding="utf-8")
+        assert main(["evaluate", "--input", artifact_dir, "--classifiers", "c45",
+                     "--k", "3", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown adr mode 'binaryy'" in capsys.readouterr().err
+        assert calls == []
+
+    def test_thread_count_does_not_change_outputs(self, artifact_dir, tmp_path):
+        outputs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"threads{threads}"
+            assert main(["evaluate", "--input", artifact_dir, "--classifiers", "c45,rf,forest_pa",
+                         "--n-trees", "4", "--k", "3", "--repeats", "2", "--seed", "2",
+                         "--threads", threads, "--out", str(out)]) == 0
+            report = without_run_varying(read_json(out / "report.json"))
+            del report["config"]["threads"]
+            outputs.append(((out / "confusion.csv").read_bytes(), report))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", [
         ["preprocess", "--input", "in.csv", "--label-column", "class"],

@@ -1,4 +1,6 @@
-from dataclasses import replace
+import json
+import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,19 +10,83 @@ from hypothesis import strategies as st
 from idsforge import evaluation
 from idsforge.ensemble import CombinationRule
 from idsforge.errors import InputError
-from idsforge.evaluation import (ClassifierSpec, ConfusionMatrix,
+from idsforge.evaluation import (ClassifierSpec, ConfusionMatrix, MetricsReport,
                                  compute_metrics, confusion_from_predictions,
                                  cross_validate)
 from idsforge.trees import TreeParams, c45_fit
 
-from conftest import make_blobs, make_dataset, make_leak_dataset
+from conftest import DATA_DIR, make_blobs, make_dataset, make_leak_dataset, make_tied_dataset
 
 # A c45 whose root never splits: it predicts its training fold's class
 # frequencies, Laplace-smoothed, for every row.
 STUMP = ClassifierSpec("c45", params=TreeParams(min_gain=1e9))
 
 
+def oracle_metrics(cm, normal_class, adr_mode):
+    """compute_metrics with one class at a time in the per-class rates: the
+    reference the masked array divisions must match bit for bit."""
+    counts = cm.counts.astype(np.float64)
+    c = counts.shape[0]
+    total = counts.sum()
+    row_sums = counts.sum(axis=1)
+    col_sums = counts.sum(axis=0)
+    diag = np.diag(counts)
+    zero_predicted = []
+    precision = np.zeros(c)
+    recall = np.zeros(c)
+    f1 = np.zeros(c)
+    for j in range(c):
+        if col_sums[j] > 0:
+            precision[j] = diag[j] / col_sums[j]
+        elif row_sums[j] > 0:
+            zero_predicted.append(cm.class_names[j])
+        if row_sums[j] > 0:
+            recall[j] = diag[j] / row_sums[j]
+        if precision[j] + recall[j] > 0:
+            f1[j] = 2 * precision[j] * recall[j] / (precision[j] + recall[j])
+    support = row_sums / total
+    attack = np.array([j != normal_class for j in range(c)])
+    attack_total = row_sums[attack].sum()
+    if attack_total == 0:
+        adr = 0.0
+    elif adr_mode == "exact_class":
+        adr = float(diag[attack].sum() / attack_total)
+    else:
+        adr = float((attack_total - counts[attack, normal_class].sum()) / attack_total)
+    normal_total = row_sums[normal_class]
+    far = float((normal_total - diag[normal_class]) / normal_total) if normal_total > 0 else 0.0
+    return MetricsReport(accuracy=float(diag.sum() / total),
+                         precision_w=float((support * precision).sum()),
+                         dr_w=float((support * recall).sum()),
+                         f_measure_w=float((support * f1).sum()),
+                         adr=adr, far=far, mbt_seconds=0.0,
+                         zero_predicted=tuple(zero_predicted))
+
+
+@st.composite
+def confusion_cases(draw):
+    """A non-empty c x c count matrix, 2 <= c <= 16, with some rows (classes
+    absent from the data) and columns (classes never predicted) all zero."""
+    c = draw(st.integers(min_value=2, max_value=16))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    counts = rng.integers(0, draw(st.sampled_from([2, 5, 50])), size=(c, c))
+    counts[rng.random(c) < draw(st.sampled_from([0.0, 0.2, 0.5])), :] = 0
+    counts[:, rng.random(c) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = 0
+    if counts.sum() == 0:
+        counts[rng.integers(c), rng.integers(c)] = 1
+    cm = ConfusionMatrix(counts, [f"class{j}" for j in range(c)])
+    return cm, draw(st.integers(min_value=0, max_value=c - 1)), draw(
+        st.sampled_from(["exact_class", "binary"]))
+
+
 class TestComputeMetrics:
+    @settings(max_examples=300, deadline=None)
+    @given(case=confusion_cases())
+    def test_matches_per_class_oracle_bit_for_bit(self, case):
+        cm, normal_class, adr_mode = case
+        got = compute_metrics(cm, normal_class, adr_mode=adr_mode)
+        assert repr(got) == repr(oracle_metrics(cm, normal_class, adr_mode))
+
     def test_diagonal_matrix(self):
         cm = ConfusionMatrix(np.diag([30, 20, 10]), ["normal", "dos", "probe"])
         report = compute_metrics(cm, normal_class=0)
@@ -77,6 +143,43 @@ class TestComputeMetrics:
         for value in (report.accuracy, report.precision_w, report.dr_w,
                       report.f_measure_w, report.adr, report.far):
             assert 0.0 <= value <= 1.0
+
+
+def golden_evaluation():
+    """The results pinned by tests/data/evaluate_golden.json: c45, a 3-tree rf
+    and a 2-tree Forest-PA on one tie-heavy 4-class table, k=3 and 2 repeats,
+    under two rules. Every MetricsReport field but mbt_seconds is kept, each
+    float as float.hex."""
+    ds = make_tied_dataset(seed=5, n=240, classes=4)
+    specs = [ClassifierSpec("c45"), ClassifierSpec("rf", n_trees=3),
+             ClassifierSpec("forest_pa", n_trees=2)]
+    names = [f.name for f in fields(MetricsReport) if f.name != "mbt_seconds"]
+
+    def report_doc(report):
+        values = {name: getattr(report, name) for name in names}
+        return {name: v.hex() if isinstance(v, float) else list(v) for name, v in values.items()}
+
+    def result_doc(cv):
+        return {"report": report_doc(cv.report),
+                "per_repeat": [report_doc(r) for r in cv.per_repeat],
+                "confusion": cv.confusion.counts.tolist()}
+
+    doc = {}
+    for rule in (CombinationRule.AVERAGE_OF_PROBABILITIES, CombinationRule.MAJORITY_VOTING):
+        cv = cross_validate(ds, specs, k=3, repeats=2, seed=7, rule=rule)
+        doc[rule.value] = {"ensemble": result_doc(cv),
+                           **{s.kind: result_doc(m) for s, m in zip(specs, cv.members)}}
+    return doc
+
+
+class TestGoldenEvaluation:
+    """Cross-validated metrics recorded before folds ran through one per-fold
+    function over count and time arrays; they must match exactly."""
+
+    def test_matches_recording(self):
+        with open(os.path.join(DATA_DIR, "evaluate_golden.json"), encoding="utf-8") as fh:
+            recorded = json.load(fh)
+        assert golden_evaluation() == recorded
 
 
 class TestConfusionMatrix:
@@ -179,6 +282,19 @@ class TestCrossValidate:
                     assert replace(got, mbt_seconds=0.0) == replace(want, mbt_seconds=0.0)
             assert result.report.mbt_seconds == pytest.approx(
                 sum(m.report.mbt_seconds for m in result.members))
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"adr_mode": "binaryy"}, "unknown adr mode 'binaryy'"),
+        ({"rule": "majority-voting"}, "rule must be a CombinationRule"),
+        ({"threads": 0}, "thread count must be at least 1"),
+    ], ids=["adr_mode", "rule", "threads"])
+    def test_bad_argument_raises_before_any_fit(self, monkeypatch, bad, message):
+        ds = make_blobs(seed=3, n=60, d=3)
+        calls = []
+        monkeypatch.setattr(evaluation, "c45_fit", lambda *a, **kw: calls.append(a))
+        with pytest.raises(InputError, match=message):
+            cross_validate(ds, [ClassifierSpec("c45")], k=3, **bad)
+        assert calls == []
 
     def test_each_member_fitted_once_per_fold(self, monkeypatch):
         ds = make_dataset(np.random.default_rng(0).random((60, 3)), [0, 1] * 30)

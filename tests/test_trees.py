@@ -787,6 +787,16 @@ class TestSerialization:
             {"depth": 1, "distribution": [0.25, 0.75]},
         ]
 
+    def test_editing_document_leaves_model_unchanged(self):
+        ds = make_blobs(seed=3, n=60, d=4)
+        forest = forest_pa_fit(ds, n_trees=2, seed=1)
+        before = model_to_doc(forest)
+        doc = model_to_doc(forest)
+        doc["trees"][0]["params"]["min_leaf"] = 99
+        doc["attribute_weights"]["weights"][0] = -1.0
+        assert forest.trees[0].params.min_leaf == TreeParams().min_leaf
+        assert model_to_doc(forest) == before
+
     def test_non_utf8_model_file_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(chain_tree(1), str(path))
