@@ -4,7 +4,10 @@
 Writes a toy CSV (symbolic protocol column, one constant column, a couple of
 informative features), then drives the full pipeline: preprocess -> subset
 selection -> cross-validated ensemble evaluation, leaving all artifacts under
-an output directory. The evaluation runs twice: once reading the artifact's
+an output directory. The Dataset read back from the preprocessed artifact
+is written again through write_dataset_artifact, and the script fails unless
+dataset.csv, dataset.meta.json and dataset.npy equal the files preprocess
+wrote from the coded table, byte for byte. The evaluation runs twice: once reading the artifact's
 binary companion dataset.npy and once, with the companion deleted, parsing
 dataset.csv; the script fails unless both give the same confusion.csv. It
 also selects by information gain and evaluates a c45 on an explicit feature
@@ -26,7 +29,7 @@ import sys
 import numpy as np
 
 from idsforge.cli import main as cli_main
-from idsforge.dataset import read_dataset_artifact
+from idsforge.dataset import PreprocessReport, read_dataset_artifact, write_dataset_artifact
 from idsforge.ensemble import (CombinationRule, VoteEnsemble, combine_stack,
                                ensemble_predict, ensemble_predict_batch)
 from idsforge.trees import Forest, c45_fit, forest_pa_fit, load_model, rf_fit, save_model
@@ -55,6 +58,23 @@ def run(argv):
     code = cli_main(argv)
     if code != 0:
         raise SystemExit(code)
+
+
+def check_rewrite(prep_dir, out):
+    """Write the Dataset read back from prep_dir to out, with the sidecar's
+    report and label name, and fail unless the three artifact files equal
+    those in prep_dir."""
+    with open(os.path.join(prep_dir, "dataset.meta.json"), encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    report = PreprocessReport(**{key: tuple(v) if isinstance(v, list) else v
+                                 for key, v in sidecar["preprocess_report"].items()})
+    write_dataset_artifact(read_dataset_artifact(prep_dir), out, report,
+                           label_name=sidecar["label_name"])
+    for name in ("dataset.csv", "dataset.meta.json", "dataset.npy"):
+        with open(os.path.join(prep_dir, name), "rb") as cli, \
+                open(os.path.join(out, name), "rb") as rewritten:
+            if cli.read() != rewritten.read():
+                raise SystemExit(f"{name} differs between the coded-table and Dataset writers")
 
 
 def descend(tree, row):
@@ -121,6 +141,7 @@ def main():
 
     run(["preprocess", "--input", csv_path, "--label-column", "class",
          "--normal-class", "normal", "--out", prep_dir])
+    check_rewrite(prep_dir, os.path.join(out_dir, "rewritten"))
     run(["select", "--input", prep_dir, "--selector", "cfs-ba",
          "--seed", seed, "--iterations", "50", "--out", sel_dir])
     evaluate = ["evaluate", "--input", prep_dir,

@@ -19,14 +19,13 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .dataset import (encode_scaled, filter_table, load_csv, read_dataset_artifact,
-                      write_dataset_artifact)
+from .dataset import filter_table, load_csv, read_dataset_artifact, write_dataset_artifact
 # Not called here, but perfbench/spans.py traces the CLI's lookups of them,
 # so the names stay in this module's namespace.
 from .dataset import encode, normalize  # noqa: F401
 from .ensemble import CombinationRule
 from .errors import InputError
-from .evaluation import ClassifierSpec, cross_validate
+from .evaluation import ClassifierSpec, _check_settings, cross_validate
 from .featsel import BatSwarmConfig, cfs_ba_select, ig_rank, igr_rank
 from .stats import (ALPHAS, RankTable, friedman_from_mean_ranks, friedman_test,
                     load_metric_table, nemenyi_cd, rank_algorithms)
@@ -107,13 +106,6 @@ class Options:
         return {field: value for field, value in values.items() if value is not None}
 
 
-def _thread_count(opts: Options) -> int:
-    threads = opts.get("threads", os.cpu_count() or 1, int)
-    if threads < 1:
-        raise InputError(f"thread count must be at least 1, got {threads}")
-    return threads
-
-
 def _out_dir(opts: Options, default: str) -> str:
     """The --out directory, checked before the command's main work: the
     nearest part of the path that exists must be a directory. The directory
@@ -147,13 +139,13 @@ def cmd_preprocess(opts: Options) -> int:
 
     filtered, report = filter_table(load_csv(path, label, has_header=has_header))
     label_name = filtered.column_names[filtered.label_column]
-    ds = encode_scaled(filtered, normal_class_name=opts.get("normal-class"))
-    # The coded table's matrix is freed here, before the writer's blocks.
-    del filtered
-    write_dataset_artifact(ds, out_dir, report=report, label_name=label_name)
+    # The writer scales each token once and spells the cells from the codes,
+    # so no float matrix of the table is built.
+    write_dataset_artifact(filtered, out_dir, report=report, label_name=label_name,
+                           normal_class_name=opts.get("normal-class"))
     _write_json(os.path.join(out_dir, "preprocess_report.json"), report.to_dict())
-    print(f"wrote {ds.n_rows} rows x {ds.n_features} features "
-          f"({ds.n_classes} classes) to {out_dir}")
+    print(f"wrote {filtered.n_rows} rows x {filtered.n_columns - 1} features "
+          f"({len(filtered.tokens[filtered.label_column])} classes) to {out_dir}")
     return 0
 
 
@@ -296,8 +288,10 @@ def cmd_evaluate(opts: Options) -> int:
     k = opts.get("k", 10, int)
     repeats = opts.get("repeats", 1, int)
     seed = opts.get("seed", 0, int)
-    threads = _thread_count(opts)
+    threads = opts.get("threads", os.cpu_count() or 1, int)
     adr_mode = opts.get("adr-mode", "exact_class")
+    # before the selector, which can be a whole CFS-BA swarm
+    _check_settings(k, repeats, threads, rule, adr_mode)
     out_dir = _out_dir(opts, "evaluation")
 
     specs = _classifier_specs(opts)

@@ -23,8 +23,9 @@ _ZERO_FILLED = dict.fromkeys(("", *NONFINITE_TOKENS), "0")
 ARTIFACT_VERSION = 1
 # Cells of dataset.csv joined at once, so a block's rows shrink as columns
 # grow. A block holds one pointer per cell into its column's spellings plus
-# its joined rows; the writer keeps nothing per cell beyond one block.
-_WRITE_BLOCK_CELLS = 1 << 17
+# its rows, then their join, about 40 bytes per cell at 40 columns; the
+# writer keeps nothing per cell beyond one block.
+_WRITE_BLOCK_CELLS = 1 << 16
 # Rows of input read before their cell codes move from a list of Python ints
 # into an int32 array, so no per-cell pointer list outlives one block.
 _READ_BLOCK_ROWS = 8192
@@ -424,22 +425,27 @@ def encode(raw: RawTable, normal_class_name: str | None = None) -> Dataset:
     way. normal_class_name picks the benign class; when omitted, a class named
     "normal" or "benign" (case-insensitive) is used, else class 0.
     """
-    features, meta, labels, class_names, normal = _encoded(raw, normal_class_name)
-    return _sealed(features, meta, labels, class_names, normal)
+    return _gathered(raw, *_token_tables(raw, normal_class_name, scale=False))
 
 
 def encode_scaled(raw: RawTable, normal_class_name: str | None = None) -> Dataset:
     """normalize(encode(raw, normal_class_name)), bit for bit, holding one
-    float matrix: the encoded matrix is scaled in place before any Dataset
-    holds it."""
-    features, meta, labels, class_names, normal = _encoded(raw, normal_class_name)
-    _scale_in_place(features, meta)
-    return _sealed(features, meta, labels, class_names, normal)
+    float matrix: each distinct token is scaled once and the matrix is
+    gathered from the scaled values."""
+    return _gathered(raw, *_token_tables(raw, normal_class_name, scale=True))
 
 
-def _encoded(raw: RawTable, normal_class_name):
-    """encode's parts: the writable float64 feature matrix, its metadata,
-    the read-only labels, the class names and the normal class index."""
+def _token_tables(raw: RawTable, normal_class_name, scale: bool):
+    """encode's parts with one float64 value per distinct token: a (value
+    table, codes) pair per feature column, so cell i of the column is
+    table[codes[i]], then the columns' metadata, the class names and the
+    normal class index. With scale, each table is min-max scaled as
+    normalize scales its column, and InputError names the first constant
+    column.
+
+    A column's observed range is that of its tokens' values, which are
+    those of its cells since every token of a RawTable is present.
+    """
     if raw.n_rows == 0:
         raise InputError("cannot encode an empty table")
     label_j = raw.label_column
@@ -447,32 +453,53 @@ def _encoded(raw: RawTable, normal_class_name):
     if not feature_cols:
         raise InputError("table has no feature columns")
 
-    features = np.empty((raw.n_rows, len(feature_cols)), dtype=np.float64)
+    columns = []
     meta: list[FeatureMeta] = []
-    for out_j, j in enumerate(feature_cols):
-        name, tokens, codes = raw.column_names[j], raw.tokens[j], raw.codes[j]
+    for j in feature_cols:
+        name, tokens = raw.column_names[j], raw.tokens[j]
         try:
-            values = _parse_numeric(tokens, name)[codes]
+            values = _parse_numeric(tokens, name)
             kind, symbol_codes = "numeric", None
         except InputError:
-            kind, values = "symbolic", codes
-            symbol_codes = dict(zip(tokens, itertools.count()))
-        features[:, out_j] = values
-        meta.append(
-            FeatureMeta(
-                name=name,
-                original_kind=kind,
-                observed_min=float(values.min()),
-                observed_max=float(values.max()),
-                symbol_codes=symbol_codes,
-            )
-        )
+            values = np.arange(len(tokens), dtype=np.float64)
+            kind, symbol_codes = "symbolic", dict(zip(tokens, itertools.count()))
+        columns.append((values, raw.codes[j]))
+        meta.append(FeatureMeta(name, kind, *_observed_range(values), symbol_codes))
 
     class_names = list(raw.tokens[label_j])
     normal = _resolve_normal_class(class_names, normal_class_name)
-    labels = raw.codes[label_j].astype(np.int64)
+    if scale:
+        k, low, span = _min_max_terms(np.array([m.observed_min for m in meta]),
+                                      np.array([m.observed_max for m in meta]), meta)
+        for j, (values, _) in enumerate(columns):
+            values *= k[j]
+            values -= low[j]
+            values /= span[j]
+    return columns, meta, class_names, normal
+
+
+def _observed_range(values) -> tuple[float, float]:
+    """The least and greatest of values. Where zero is one of them and both
+    zeros occur, -0.0 is the least and 0.0 the greatest, so the range does
+    not depend on the order of the values."""
+    lo, hi = float(values.min()), float(values.max())
+    if lo == 0 or hi == 0:
+        negative = np.signbit(values[values == 0])
+        if lo == 0:
+            lo = -0.0 if negative.any() else 0.0
+        if hi == 0:
+            hi = -0.0 if negative.all() else 0.0
+    return lo, hi
+
+
+def _gathered(raw: RawTable, columns, meta, class_names, normal) -> Dataset:
+    """A Dataset whose feature matrix is gathered from the value tables."""
+    features = np.empty((raw.n_rows, len(columns)), dtype=np.float64)
+    for out_j, (values, codes) in enumerate(columns):
+        features[:, out_j] = values[codes]
+    labels = raw.codes[raw.label_column].astype(np.int64)
     labels.setflags(write=False)
-    return features, meta, labels, class_names, normal
+    return _sealed(features, meta, labels, class_names, normal)
 
 
 def _sealed(features, meta, labels, class_names, normal) -> Dataset:
@@ -508,26 +535,32 @@ def normalize(ds: Dataset) -> Dataset:
     in place.
     """
     scaled = np.array(ds.features, order="K")
-    _scale_in_place(scaled, ds.feature_meta)
+    k, low, span = _min_max_terms(scaled.min(axis=0), scaled.max(axis=0), ds.feature_meta)
+    scaled *= k
+    scaled -= low
+    scaled /= span
     return _sealed(scaled, ds.feature_meta, ds.labels, ds.class_names, ds.normal_class)
 
 
-def _scale_in_place(features: np.ndarray, meta) -> None:
-    """Min-max scale each column of a writable matrix onto [0, 1] in place;
-    InputError naming the first constant column."""
-    mins = features.min(axis=0)
-    maxs = features.max(axis=0)
+def _min_max_terms(mins, maxs, meta):
+    """(k, low, span) per column, which scale x onto [0, 1] as
+    (x * k - low) / span, in those three operations; InputError naming the
+    first constant column.
+
+    A zero minimum counts as -0.0, so both zeros scale to 0.0 whichever of
+    them a reduction returned; with no -0.0 in a column the result is the
+    same as with 0.0.
+    """
     flat = np.flatnonzero(maxs == mins)
     if flat.size:
         name = meta[int(flat[0])].name
         raise InputError(f"feature {name!r} is constant and cannot be min-max scaled")
+    mins = np.where(mins == 0, -0.0, mins)
     # A range wider than the largest double (e.g. -1e308..1e308) overflows,
     # so such a column is halved first; times 1, every other column keeps its bits.
     with np.errstate(over="ignore"):
         k = np.where(np.isinf(maxs - mins), 0.5, 1.0)
-    features *= k
-    features -= mins * k
-    features /= maxs * k - mins * k
+    return k, mins * k, maxs * k - mins * k
 
 
 def select_features(ds: Dataset, indices) -> Dataset:
@@ -588,10 +621,28 @@ def _label_spellings(class_names, alone: bool) -> list[str]:
     return spelled
 
 
-def write_dataset_artifact(ds: Dataset, out_dir, report: PreprocessReport | None = None,
-                           label_name: str = "label") -> None:
+class _SortedCodes:
+    """A column's codes into its sorted distinct bit patterns, found one
+    block of rows at a time, so no code array of the whole column is held."""
+
+    def __init__(self, distinct, bits):
+        self.distinct, self.bits = distinct, bits
+
+    def __getitem__(self, rows):
+        return np.searchsorted(self.distinct, self.bits[rows])
+
+
+def write_dataset_artifact(data: Dataset | RawTable, out_dir,
+                           report: PreprocessReport | None = None, label_name: str = "label",
+                           normal_class_name: str | None = None) -> None:
     """Write the canonical dataset artifact: dataset.csv, a JSON sidecar and
     the binary companion dataset.npy.
+
+    data is a Dataset, or a filtered RawTable, which is written as
+    encode_scaled(data, normal_class_name) would be without building that
+    float matrix: each column is held as its codes and one scaled value per
+    token. normal_class_name applies to a table only; a Dataset names its
+    own normal class.
 
     dataset.csv holds the bytes csv.writer writes for each row of Python
     floats and class name, but each distinct value of a column is spelled
@@ -600,70 +651,119 @@ def write_dataset_artifact(ds: Dataset, out_dir, report: PreprocessReport | None
     dataset.csv and of dataset.meta.json, then the CRC-32 of the two arrays),
     the int64 labels and the C-ordered float64 features. InputError when
     dataset.csv would not read back as this dataset: class names that
-    repeat, or a label name that a feature column would shadow.
+    repeat, or a label name that a feature column would shadow. Every check
+    runs before the first file is opened.
     """
-    if len(set(ds.class_names)) != len(ds.class_names):
+    if isinstance(data, RawTable):
+        columns, meta, class_names, normal = _token_tables(data, normal_class_name, scale=True)
+        labels = data.codes[data.label_column]
+    else:
+        if normal_class_name is not None:
+            raise TypeError("normal_class_name applies to a RawTable; a Dataset has its own")
+        meta, class_names, normal, labels = (data.feature_meta, data.class_names,
+                                             data.normal_class, data.labels)
+        columns = []
+        for column in data.features.T:
+            bits = column.view(np.int64)
+            distinct = np.unique(bits)
+            columns.append((distinct.view(np.float64), _SortedCodes(distinct, bits)))
+    if len(set(class_names)) != len(class_names):
         raise InputError("class names are not distinct")
     # The reader drops a leading byte-order mark and takes the first column
     # of the label's name, which has to be the last column.
-    header = ds.feature_names + [label_name]
+    header = [m.name for m in meta] + [label_name]
     read_back = [header[0].removeprefix("\ufeff"), *header[1:]]
     if label_name not in read_back or read_back.index(label_name) != len(header) - 1:
         raise InputError(f"label name {label_name!r} would not read back as the last "
                          f"column of dataset.csv: a feature has that name")
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "dataset.csv")
-    meta_path = os.path.join(out_dir, "dataset.meta.json")
-    columns = [column.view(np.int64) for column in ds.features.T]
-    distinct = [np.unique(bits) for bits in columns]
-    # csv writes a Python float as its repr, the shortest exact spelling.
-    spellings = [np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-                 for bits in distinct]
-    labels = np.array(_label_spellings(ds.class_names, alone=not columns), dtype=object)
-    block_rows = max(1, _WRITE_BLOCK_CELLS // (len(columns) + 1))
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, ds.n_rows, block_rows):
-            block = slice(start, start + block_rows)
-            cells = [spelled[np.searchsorted(values, bits[block])].tolist()
-                     for spelled, values, bits in zip(spellings, distinct, columns)]
-            cells.append(labels[ds.labels[block]].tolist())
-            fh.write("\r\n".join(map(",".join, zip(*cells))))
-            fh.write("\r\n")
     sidecar = {
         "version": ARTIFACT_VERSION,
         "label_name": label_name,
-        "class_names": ds.class_names,
-        "normal_class": ds.normal_class,
-        "feature_meta": [asdict(m) for m in ds.feature_meta],
+        "class_names": class_names,
+        "normal_class": normal,
+        "feature_meta": [asdict(m) for m in meta],
         "preprocess_report": report.to_dict() if report is not None else None,
     }
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_artifact(out_dir, header, columns, labels, class_names, sidecar)
 
-    # a column-major matrix (select_features gives one) is copied row-major
-    labels = np.ascontiguousarray(ds.labels)
-    features = np.ascontiguousarray(ds.features)
-    check = _companion_check(csv_path, meta_path) + _arrays_crc(labels, features)
+
+def _write_artifact(out_dir, header, columns, labels, class_names, sidecar) -> None:
+    """Write the three artifact files from (value table, codes) pairs, one
+    per feature column, and the label codes, a block of rows at a time: a
+    dataset.csv cell is the repr of its value, the companion's features are
+    the values the codes pick, and each CRC-32 is formed from the bytes as
+    they are written."""
+    os.makedirs(out_dir, exist_ok=True)
+    n = len(labels)
+    block_rows = max(1, _WRITE_BLOCK_CELLS // (len(columns) + 1))
+    blocks = [slice(start, min(start + block_rows, n)) for start in range(0, n, block_rows)]
+
+    # csv writes a Python float as its repr, the shortest exact spelling.
+    spellings = [np.array([repr(v) for v in values.tolist()], dtype=object)
+                 for values, _ in columns]
+    spelled_labels = np.array(_label_spellings(class_names, alone=not columns), dtype=object)
+    with open(os.path.join(out_dir, "dataset.csv"), "wb") as fh:
+        buf = io.StringIO()
+        csv.writer(buf).writerow(header)
+        csv_check = _write_checked(fh, buf.getvalue())
+        for rows in blocks:
+            cells = [spelled[codes[rows]].tolist()
+                     for spelled, (_, codes) in zip(spellings, columns)]
+            cells.append(spelled_labels[labels[rows]].tolist())
+            text = "\r\n".join(map(",".join, zip(*cells)))
+            csv_check = _write_checked(fh, text + "\r\n", csv_check)
+    with open(os.path.join(out_dir, "dataset.meta.json"), "wb") as fh:
+        meta_check = _write_checked(fh, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+
+    check = _check_record(csv_check, meta_check)
     with open(os.path.join(out_dir, "dataset.npy"), "wb") as fh:
-        # on an open file, np.save writes a contiguous array with tofile, uncopied
-        for array in (np.frombuffer(check, dtype=np.uint8), labels, features):
-            np.save(fh, array)
+        # np.save's records, written here so the arrays' CRC-32 is formed as
+        # they are; it lands in the placeholder at the end of the check
+        fh.write(_npy_header(np.uint8, (len(check) + 8,)) + check)
+        crc_at = fh.tell()
+        fh.write(b"0" * 8)
+        crc = 0
+        fh.write(_npy_header(np.int64, (n,)))
+        for rows in blocks:
+            block = labels[rows].astype(np.int64)
+            fh.write(block)
+            crc = zlib.crc32(block, crc)
+        fh.write(_npy_header(np.float64, (n, len(columns))))
+        for rows in blocks:
+            block = np.empty((rows.stop - rows.start, len(columns)), dtype=np.float64)
+            for j, (values, codes) in enumerate(columns):
+                block[:, j] = values[codes[rows]]
+            fh.write(block)
+            crc = zlib.crc32(block, crc)
+        fh.seek(crc_at)
+        fh.write(b"%08x" % crc)
+
+
+def _write_checked(fh, text: str, check=(0, 0)) -> tuple[int, int]:
+    """Write text to a binary file as UTF-8; the (byte size, CRC-32) check
+    of what has been written, continued from check."""
+    data = text.encode("utf-8")
+    fh.write(data)
+    return check[0] + len(data), zlib.crc32(data, check[1])
 
 
 def _companion_check(csv_path, meta_path) -> bytes:
-    """A companion's check up to the CRC-32 of its arrays: the byte size and
-    CRC-32 of dataset.csv and of dataset.meta.json."""
-    files = []
+    """_check_record of dataset.csv and dataset.meta.json as they are on disk."""
+    checks = []
     for path in (csv_path, meta_path):
         size = crc = 0
         with open(path, "rb") as fh:
             for chunk in iter(lambda: fh.read(_CHECK_CHUNK), b""):
                 size += len(chunk)
                 crc = zlib.crc32(chunk, crc)
-        files.append(b"%d %08x" % (size, crc))
-    return b"dataset.csv %s dataset.meta.json %s arrays " % tuple(files)
+        checks.append((size, crc))
+    return _check_record(*checks)
+
+
+def _check_record(csv_check, meta_check) -> bytes:
+    """A companion's check up to the CRC-32 of its arrays: the byte size and
+    CRC-32 of dataset.csv and of dataset.meta.json."""
+    return b"dataset.csv %d %08x dataset.meta.json %d %08x arrays " % (*csv_check, *meta_check)
 
 
 def _arrays_crc(labels, features) -> bytes:

@@ -183,6 +183,21 @@ def _fold(ds: Dataset, members, groups, train, test, seeds, rule: CombinationRul
     return np.stack(counts), np.array(seconds)
 
 
+def _check_settings(k, repeats, threads, rule, adr_mode) -> None:
+    """InputError for a cross_validate setting out of its domain; the CLI
+    calls it before any feature selection runs."""
+    if k < 2:
+        raise InputError("fold count must be at least 2")
+    if repeats < 1:
+        raise InputError("repeats must be at least 1")
+    if threads < 1:
+        raise InputError(f"thread count must be at least 1, got {threads}")
+    if not isinstance(rule, CombinationRule):
+        raise InputError(f"rule must be a CombinationRule, got {rule!r}")
+    if adr_mode not in _ADR_MODES:
+        raise InputError(f"unknown adr mode {adr_mode!r}")
+
+
 def cross_validate(ds: Dataset, members, k: int = 10, repeats: int = 1,
                    seed: int = 0, rule: CombinationRule = CombinationRule.AVERAGE_OF_PROBABILITIES,
                    feature_indices=None, threads: int = 1,
@@ -200,16 +215,7 @@ def cross_validate(ds: Dataset, members, k: int = 10, repeats: int = 1,
     wall-clock time of one build per fold: a member's own fit, or all fits
     for the ensemble. Every argument is checked before the first fit.
     """
-    if k < 2:
-        raise InputError("fold count must be at least 2")
-    if repeats < 1:
-        raise InputError("repeats must be at least 1")
-    if threads < 1:
-        raise InputError(f"thread count must be at least 1, got {threads}")
-    if not isinstance(rule, CombinationRule):
-        raise InputError(f"rule must be a CombinationRule, got {rule!r}")
-    if adr_mode not in _ADR_MODES:
-        raise InputError(f"unknown adr mode {adr_mode!r}")
+    _check_settings(k, repeats, threads, rule, adr_mode)
     if not members:
         raise InputError("need at least one classifier")
     for member in members:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from idsforge import evaluation
+from idsforge import cli, evaluation
 from idsforge.cli import _read_subset_file, main
 from idsforge.dataset import (normalize, read_dataset_artifact,
                               write_dataset_artifact)
@@ -120,6 +120,21 @@ class TestPreprocess:
         out = str(tmp_path / "sel")
         assert main(["select", "--input", prep, "--selector", "none", "--out", out]) == 0
         assert read_json(os.path.join(out, "subset.json"))["names"] == ["a", "b"]
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("a,b,class\n1,2,x\n3,4,x\n", [], "label column is constant"),
+        ("a,b,class\n1,5,x\n1.0,5,y\n", [], "no feature columns remain after filtering"),
+        ("a,b,class\n1,2,x\n3,4,y\n", ["--normal-class", "z"],
+         "normal class 'z' not among classes"),
+    ])
+    def test_failed_preprocess_leaves_no_out_dir(self, tmp_path, capsys, text, flags, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "prep"
+        assert main(["preprocess", "--input", str(path), "--label-column", "class",
+                     "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def write_cell(art, row, col, text):
@@ -336,6 +351,24 @@ class TestEvaluate:
         assert main(["evaluate", "--input", artifact_dir, "--classifiers", "c45",
                      "--k", "3", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "unknown adr mode 'binaryy'" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("setting, message", [
+        ("adr-mode = binaryy", "unknown adr mode 'binaryy'"),
+        ("k = 1", "fold count must be at least 2"),
+        ("repeats = 0", "repeats must be at least 1"),
+        ("threads = 0", "thread count must be at least 1, got 0"),
+    ])
+    def test_bad_setting_exits_before_the_selector_runs(self, artifact_dir, tmp_path, capsys,
+                                                        monkeypatch, setting, message):
+        calls = []
+        monkeypatch.setattr(cli, "cfs_ba_select", lambda *a, **kw: calls.append(a))
+        config = tmp_path / "bad.conf"
+        config.write_text(setting + "\n", encoding="utf-8")
+        assert main(["evaluate", "--input", artifact_dir, "--selector", "cfs-ba",
+                     "--classifiers", "c45", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
         assert calls == []
 
     def test_thread_count_does_not_change_outputs(self, artifact_dir, tmp_path):

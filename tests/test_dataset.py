@@ -288,14 +288,14 @@ NUMERIC_CELLS = ("", "NaN", "Infinity", "-Infinity", "1", "1.0", "-0", "0", "0.0
                  "2.5", "007", "1e308", "-1e308")
 SYMBOLIC_CELLS = ("tcp", "udp", "nan", "inf", "a,b", "x\ny", 'q"', " ", "")
 RAW_NAMES = ("f", "g", "class", "", "h,i")
-RAW_LABELS = ("normal", "dos", "a,b", "new\nline", "")
+RAW_LABELS = ("normal", "dos", "a,b", 'q"', "new\nline", "")
 
 
 @st.composite
-def raw_csvs(draw):
-    """(CSV text, label column, has_header): 0-20 rows of 1-5 feature columns
-    that are numeric, symbolic or mixed, headers that repeat or name the
-    label, and an optional byte-order mark."""
+def raw_csvs(draw, min_rows=0, max_rows=20):
+    """(CSV text, label column, has_header): min_rows to max_rows rows of 1-5
+    feature columns that are numeric, symbolic or mixed, headers that repeat
+    or name the label, and an optional byte-order mark."""
     n_features = draw(st.integers(1, 5))
     label_j = draw(st.integers(0, n_features))
     names = draw(st.lists(st.sampled_from(RAW_NAMES), min_size=n_features,
@@ -305,7 +305,8 @@ def raw_csvs(draw):
                                    NUMERIC_CELLS + SYMBOLIC_CELLS]))
              for _ in range(n_features)]
     pools.insert(label_j, RAW_LABELS)
-    rows = draw(st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)), max_size=20))
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)),
+                         min_size=min_rows, max_size=max_rows))
     has_header = draw(st.booleans())
     buf = io.StringIO()
     csv.writer(buf).writerows(([names] if has_header else []) + rows)
@@ -415,6 +416,18 @@ class TestEncodeScaled:
             return
         assert_same_dataset(encode_scaled(raw, normal), expected)
 
+    @pytest.mark.parametrize("zeros", [("-0", "0"), ("0", "-0"), ("-0.0", "-0")])
+    def test_zeros_scale_to_zero_whatever_their_order(self, zeros):
+        """A zero minimum counts as -0.0, so every zero cell scales to 0.0;
+        observed_min is -0.0 when the column holds -0.0."""
+        raw = coded_table(["z", "class"], [[zeros[0], "2", zeros[1], "1"], ["a", "b", "a", "b"]], 1)
+        for ds in (encode_scaled(raw), normalize(encode(raw))):
+            assert ds.features[:, 0].tolist() == [0.0, 1.0, 0.0, 0.5]
+            assert not np.signbit(ds.features).any()
+            assert str(ds.feature_meta[0].observed_min) == "-0.0"
+        negative = coded_table(["z", "class"], [["-1", "0", "-0"], ["a", "b", "a"]], 1)
+        assert str(encode(negative).feature_meta[0].observed_max) == "0.0"
+
     def test_constant_column_named(self):
         """filter_table drops constant columns; unfiltered, 0 and -0 are one value."""
         raw = coded_table(["v", "zero", "class"],
@@ -423,6 +436,64 @@ class TestEncodeScaled:
             with pytest.raises(InputError,
                                match="^feature 'zero' is constant and cannot be min-max scaled$"):
                 scale(raw)
+
+
+def written(data, art, *args, **kwargs):
+    """The bytes of the three files write_dataset_artifact(data, art, ...)
+    writes, or the message of the InputError it raises, after which art
+    must not exist."""
+    try:
+        write_dataset_artifact(data, art, *args, **kwargs)
+    except InputError as exc:
+        assert not os.path.exists(art)
+        return str(exc)
+    files = []
+    for name in ("dataset.csv", "dataset.meta.json", "dataset.npy"):
+        with open(os.path.join(art, name), "rb") as fh:
+            files.append(fh.read())
+    return files
+
+
+class TestWriterInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(table=raw_csvs(min_rows=1, max_rows=3),
+           normal=st.sampled_from([None, "dos", "absent"]))
+    @example(table=("\ufeffz,class\n-0,a\n0,b\n1,a\n", "class", True), normal=None)
+    @example(table=("z,class\n0,a\n-0,b\n1.0,a\n", "class", True), normal=None)
+    def test_table_written_as_its_encode_scaled(self, table, normal):
+        """Writing the filtered RawTable gives the bytes of writing
+        encode_scaled of it, which is normalize(encode(...)) to the bit, or
+        the same InputError before any file exists."""
+        text, label, has_header = table
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "in.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                filtered, report = filter_table(load_csv(path, label, has_header))
+            except InputError:
+                return
+            name = filtered.column_names[filtered.label_column]
+            from_table = written(filtered, os.path.join(work, "table"), report,
+                                 label_name=name, normal_class_name=normal)
+            try:
+                expected = normalize(encode(filtered, normal))
+            except InputError as exc:
+                assert from_table == str(exc)
+                with pytest.raises(InputError, match=re.escape(str(exc))):
+                    encode_scaled(filtered, normal)
+                return
+            scaled = encode_scaled(filtered, normal)
+            assert_same_dataset(scaled, expected)
+            from_dataset = written(scaled, os.path.join(work, "dataset"), report,
+                                   label_name=name)
+            assert from_table == from_dataset
+
+    def test_normal_class_name_needs_a_table(self, tmp_path):
+        ds = make_dataset([[0.0], [1.0]], [0, 1])
+        with pytest.raises(TypeError):
+            write_dataset_artifact(ds, tmp_path / "art", normal_class_name="c0")
+        assert not os.path.exists(tmp_path / "art")
 
 
 def dealt_row_by_row(ds, k, seed):
@@ -1016,6 +1087,10 @@ class TestMemoryPerCell:
     # The writer above the Dataset it writes: one block of cell spellings and
     # joined rows. 8,192-row blocks at 40 columns took 13.5-15 B per cell.
     WRITER_BOUND = 10.0
+    # load_csv -> filter_table -> write_dataset_artifact of the table: the
+    # int32 codes, one scaled value per token and one block; encode_scaled
+    # and then the writer took 15.4 B per cell, and load_csv alone takes 10.
+    PREPROCESS_BOUND = 12.0
 
     def test_ingest_and_read_artifact(self, tmp_path):
         path = str(tmp_path / "in.csv")
@@ -1035,6 +1110,13 @@ class TestMemoryPerCell:
         cells = write_traffic_csv(path, 20_000)
         peak = traced_peak(lambda: encode_scaled(filter_table(load_csv(path, "class"))[0]))
         assert peak / cells <= self.SCALED_BOUND, f"{peak / cells:.1f} B per cell"
+
+    def test_preprocess_chain(self, tmp_path):
+        path = str(tmp_path / "in.csv")
+        cells = write_traffic_csv(path, 20_000)
+        peak = traced_peak(lambda: write_dataset_artifact(
+            filter_table(load_csv(path, "class"))[0], str(tmp_path / "art"), label_name="class"))
+        assert peak / cells <= self.PREPROCESS_BOUND, f"{peak / cells:.1f} B per cell"
 
     def test_writer_above_its_dataset(self, tmp_path):
         path = str(tmp_path / "in.csv")
